@@ -4,13 +4,137 @@ The paper reports the F1 measure because many of the evaluated data sets are
 imbalanced; the implementation here provides macro- and weighted-averaged
 precision, recall and F1 on top of a confusion matrix that can be updated
 incrementally.
+
+Every metric is a function of a confusion count matrix's marginals -- its
+total, diagonal, row sums and column sums -- and each is written once, on
+:class:`Marginals`.  :class:`ConfusionMatrix`'s metric methods are views of
+the marginals of its running matrix; the prequential evaluator reads the
+marginals of each batch's counts once and takes all of its per-batch metrics
+from them.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.persistence.mixin import PersistableStateMixin
+
+
+def _beyond(observed: float, baseline: float) -> float:
+    """Agreement beyond a baseline classifier (the shared kappa formula).
+
+    A baseline that is already perfect leaves nothing to beat: ``0.0``.
+    """
+    if baseline >= 1.0:
+        return 0.0
+    return (observed - baseline) / (1.0 - baseline)
+
+
+class Marginals(NamedTuple):
+    """The sums of a confusion count matrix that every metric reads.
+
+    Rows of the count matrix are true classes and columns predicted ones.
+    The per-class sums are plain lists: the metrics are a handful of scalar
+    operations per class, each rounded exactly as numpy rounds it.  The two
+    sums of floats over classes (the macro and weighted averages) go through
+    numpy's pairwise reduction, as ``mean`` and ``np.average`` do: from eight
+    classes on, a left-to-right sum differs from it in the last bit.  Counts
+    are integers (or floats holding integers) below 2**53, so every other sum
+    is exact in any order; kappa's chance term, a sum of products of
+    marginals, is exact while the squared total is (up to about 9.4e7 rows).
+    """
+
+    #: Number of counted rows.
+    total: float
+    #: Number of correctly predicted rows (the trace).
+    n_correct: float
+    #: Per class: rows predicted correctly (the diagonal).
+    correct: list[float]
+    #: Per class: rows whose true label is the class (row sums, the support).
+    actual: list[float]
+    #: Per class: rows predicted as the class (column sums).
+    predicted: list[float]
+
+    @classmethod
+    def of(cls, counts: np.ndarray) -> Marginals:
+        correct = counts.diagonal().tolist()
+        actual = counts.sum(axis=1).tolist()
+        return cls(
+            float(sum(actual)),
+            float(sum(correct)),
+            correct,
+            actual,
+            counts.sum(axis=0).tolist(),
+        )
+
+    # ------------------------------------------------------- per class
+    def precision(self) -> list[float]:
+        return [c / n if n else 0.0 for c, n in zip(self.correct, self.predicted)]
+
+    def recall(self) -> list[float]:
+        return [c / n if n else 0.0 for c, n in zip(self.correct, self.actual)]
+
+    def f1(self) -> list[float]:
+        return [
+            2.0 * p * r / (p + r) if p + r > 0 else 0.0
+            for p, r in zip(self.precision(), self.recall())
+        ]
+
+    def average(
+        self, per_class: list[float], classes: np.ndarray, average: str
+    ) -> float:
+        """Average a per-class metric over ``classes`` (the matrix's order)."""
+        if average == "macro":
+            present = [value for value, n in zip(per_class, self.actual) if n > 0]
+            if not present:
+                return 0.0
+            return float(np.add.reduce(present)) / len(present)
+        if average == "weighted":
+            if self.total == 0:
+                return 0.0
+            weighted = [value * n for value, n in zip(per_class, self.actual)]
+            return float(np.add.reduce(weighted)) / self.total
+        if average == "binary":
+            if len(classes) != 2:
+                raise ValueError("binary averaging requires exactly two classes.")
+            # The positive class is the larger label (sklearn's default of
+            # pos_label=1 for {0, 1}), independent of the caller's ordering.
+            return per_class[1 if classes[1] > classes[0] else 0]
+        raise ValueError(
+            f"average must be 'macro', 'weighted' or 'binary', got {average!r}."
+        )
+
+    # ---------------------------------------------------------- scalars
+    def accuracy(self) -> float:
+        if self.total == 0:
+            return 0.0
+        return self.n_correct / self.total
+
+    def kappa(self) -> float:
+        """Cohen's kappa: agreement beyond a chance classifier.
+
+        Chance agreement is the dot product of the row and column marginals;
+        degenerate windows (empty, or marginals that make chance agreement
+        exactly one, e.g. a single observed class) score ``0.0``.
+        """
+        if self.total == 0:
+            return 0.0
+        chance = float(sum(a * p for a, p in zip(self.actual, self.predicted)))
+        return _beyond(self.accuracy(), chance / (self.total * self.total))
+
+    def kappa_m(self) -> float:
+        """Kappa-M: agreement beyond the majority-class classifier.
+
+        Replaces Cohen's chance term with the accuracy of always predicting
+        the most frequent *true* class (Bifet et al., 2015), which is the
+        honest baseline on imbalanced streams.  Degenerate windows (empty,
+        or a majority baseline that is already perfect) score ``0.0``.
+        """
+        if self.total == 0:
+            return 0.0
+        return _beyond(self.accuracy(), float(max(self.actual)) / self.total)
 
 
 class ConfusionMatrix(PersistableStateMixin):
@@ -35,127 +159,85 @@ class ConfusionMatrix(PersistableStateMixin):
         self._sorted_to_caller = sort_order
 
     def _index(self, labels: np.ndarray) -> np.ndarray:
-        positions = np.searchsorted(self._sorted_classes, labels)
-        positions = np.clip(positions, 0, len(self._sorted_classes) - 1)
-        valid = self._sorted_classes[positions] == labels
-        if not np.all(valid):
-            unknown = np.asarray(labels)[~valid]
-            raise ValueError(f"Unknown labels encountered: {np.unique(unknown)}.")
+        sorted_classes = self._sorted_classes
+        positions = sorted_classes.searchsorted(labels)
+        # A label above every class lands one past the end.
+        np.minimum(positions, len(sorted_classes) - 1, out=positions)
+        known = sorted_classes[positions] == labels
+        if not known.all():
+            raise ValueError(
+                f"Unknown labels encountered: {np.unique(labels[~known])}."
+            )
         return self._sorted_to_caller[positions]
 
-    def update(self, y_true: np.ndarray, y_pred: np.ndarray) -> "ConfusionMatrix":
+    def count(self, y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+        """Confusion counts of the pairs, without adding them to :attr:`matrix`.
+
+        Returns an integer matrix in this matrix's class order: each side's
+        labels are mapped to class indices once and the cells are counted
+        with one ``bincount``.
+        """
         y_true = np.asarray(y_true)
         y_pred = np.asarray(y_pred)
         if len(y_true) != len(y_pred):
             raise ValueError("y_true and y_pred have inconsistent lengths.")
-        rows = self._index(y_true)
-        cols = self._index(y_pred)
-        np.add.at(self.matrix, (rows, cols), 1.0)
+        size = len(self.classes)
+        cells = self._index(y_true)
+        cells *= size
+        cells += self._index(y_pred)
+        return np.bincount(cells, minlength=size * size).reshape(size, size)
+
+    def update(self, y_true: np.ndarray, y_pred: np.ndarray) -> "ConfusionMatrix":
+        # Integer counts below 2**53 add exactly, whatever the batching.
+        self.matrix += self.count(y_true, y_pred)
         return self
 
     # ------------------------------------------------------------- metrics
     @property
+    def marginals(self) -> Marginals:
+        return Marginals.of(self.matrix)
+
+    @property
     def total(self) -> float:
-        return float(self.matrix.sum())
+        return self.marginals.total
 
     def accuracy(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return float(np.trace(self.matrix) / self.total)
+        return self.marginals.accuracy()
 
     def per_class_precision(self) -> np.ndarray:
-        predicted = self.matrix.sum(axis=0)
-        correct = np.diag(self.matrix)
-        return np.divide(
-            correct, predicted, out=np.zeros_like(correct), where=predicted > 0
-        )
+        return np.array(self.marginals.precision())
 
     def per_class_recall(self) -> np.ndarray:
-        actual = self.matrix.sum(axis=1)
-        correct = np.diag(self.matrix)
-        return np.divide(
-            correct, actual, out=np.zeros_like(correct), where=actual > 0
-        )
+        return np.array(self.marginals.recall())
 
     def per_class_f1(self) -> np.ndarray:
-        precision = self.per_class_precision()
-        recall = self.per_class_recall()
-        denominator = precision + recall
-        return np.divide(
-            2.0 * precision * recall,
-            denominator,
-            out=np.zeros_like(precision),
-            where=denominator > 0,
-        )
-
-    def _average(self, per_class: np.ndarray, average: str) -> float:
-        support = self.matrix.sum(axis=1)
-        if average == "macro":
-            present = support > 0
-            if not np.any(present):
-                return 0.0
-            return float(per_class[present].mean())
-        if average == "weighted":
-            if support.sum() == 0:
-                return 0.0
-            return float(np.average(per_class, weights=support))
-        if average == "binary":
-            if len(self.classes) != 2:
-                raise ValueError("binary averaging requires exactly two classes.")
-            # The positive class is the larger label (sklearn's default of
-            # pos_label=1 for {0, 1}), independent of the caller's ordering.
-            return float(per_class[int(np.argmax(self.classes))])
-        raise ValueError(
-            f"average must be 'macro', 'weighted' or 'binary', got {average!r}."
-        )
+        return np.array(self.marginals.f1())
 
     def precision(self, average: str = "macro") -> float:
-        return self._average(self.per_class_precision(), average)
+        marginals = self.marginals
+        return marginals.average(marginals.precision(), self.classes, average)
 
     def recall(self, average: str = "macro") -> float:
-        return self._average(self.per_class_recall(), average)
+        marginals = self.marginals
+        return marginals.average(marginals.recall(), self.classes, average)
 
     def f1(self, average: str = "macro") -> float:
-        return self._average(self.per_class_f1(), average)
+        marginals = self.marginals
+        return marginals.average(marginals.f1(), self.classes, average)
 
     def kappa(self) -> float:
-        """Cohen's kappa: agreement beyond a chance classifier.
-
-        Chance agreement is the dot product of the row and column marginals;
-        degenerate windows (empty, or marginals that make chance agreement
-        exactly one, e.g. a single observed class) score ``0.0``.
-        """
-        total = self.total
-        if total == 0:
-            return 0.0
-        observed = float(np.trace(self.matrix)) / total
-        expected = float(
-            self.matrix.sum(axis=1) @ self.matrix.sum(axis=0)
-        ) / (total * total)
-        if expected >= 1.0:
-            return 0.0
-        return (observed - expected) / (1.0 - expected)
+        """Cohen's kappa (see :meth:`Marginals.kappa`)."""
+        return self.marginals.kappa()
 
     def kappa_m(self) -> float:
-        """Kappa-M: agreement beyond the majority-class classifier.
-
-        Replaces Cohen's chance term with the accuracy of always predicting
-        the most frequent *true* class (Bifet et al., 2015), which is the
-        honest baseline on imbalanced streams.  Degenerate windows (empty,
-        or a majority baseline that is already perfect) score ``0.0``.
-        """
-        total = self.total
-        if total == 0:
-            return 0.0
-        observed = float(np.trace(self.matrix)) / total
-        majority = float(self.matrix.sum(axis=1).max()) / total
-        if majority >= 1.0:
-            return 0.0
-        return (observed - majority) / (1.0 - majority)
+        """Kappa-M (see :meth:`Marginals.kappa_m`)."""
+        return self.marginals.kappa_m()
 
 
 def _matrix_from(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
-    classes = np.unique(np.concatenate([np.asarray(y_true), np.asarray(y_pred)]))
+    # Unique labels of each side, then their union: no concatenated copy of
+    # the two label arrays.
+    classes = np.union1d(np.unique(y_true), np.unique(y_pred))
     if len(classes) < 2:
         classes = np.unique(np.concatenate([classes, [0, 1]]))
     matrix = ConfusionMatrix(classes)
@@ -188,13 +270,13 @@ def f1_score(y_true: np.ndarray, y_pred: np.ndarray, average: str = "macro") -> 
 
 
 def cohen_kappa_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Cohen's kappa (see :meth:`ConfusionMatrix.kappa`)."""
+    """Cohen's kappa (see :meth:`Marginals.kappa`)."""
     return _matrix_from(y_true, y_pred).kappa()
 
 
 def kappa_m_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Kappa-M against the majority-class baseline
-    (see :meth:`ConfusionMatrix.kappa_m`)."""
+    (see :meth:`Marginals.kappa_m`)."""
     return _matrix_from(y_true, y_pred).kappa_m()
 
 
@@ -202,6 +284,7 @@ def kappa_temporal_score(
     y_true: np.ndarray,
     y_pred: np.ndarray,
     last_label: object | None = None,
+    observed: float | None = None,
 ) -> float:
     """Kappa-temporal: agreement beyond the no-change classifier.
 
@@ -209,8 +292,10 @@ def kappa_temporal_score(
     et al., 2015), which is the honest baseline on autocorrelated streams.
     ``last_label`` is the true label that preceded ``y_true`` (the previous
     batch's final label in a streaming evaluation); without one the first
-    row counts as a no-change miss.  Degenerate windows (empty, or a
-    no-change baseline that is already perfect) score ``0.0``.
+    row counts as a no-change miss.  ``observed`` is the accuracy of
+    ``y_pred`` when the caller already has it (a confusion matrix of the same
+    rows); it is computed from the labels otherwise.  Degenerate windows
+    (empty, or a no-change baseline that is already perfect) score ``0.0``.
     """
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
@@ -218,12 +303,9 @@ def kappa_temporal_score(
         raise ValueError("y_true and y_pred have inconsistent lengths.")
     if len(y_true) == 0:
         return 0.0
-    observed = float(np.mean(y_true == y_pred))
-    no_change = np.zeros(len(y_true), dtype=bool)
-    no_change[1:] = y_true[1:] == y_true[:-1]
-    if last_label is not None:
-        no_change[0] = y_true[0] == last_label
-    reference = float(np.mean(no_change))
-    if reference >= 1.0:
-        return 0.0
-    return (observed - reference) / (1.0 - reference)
+    if observed is None:
+        observed = float(np.mean(y_true == y_pred))
+    no_change = int(np.count_nonzero(y_true[1:] == y_true[:-1]))
+    if last_label is not None and y_true[0] == last_label:
+        no_change += 1
+    return _beyond(observed, no_change / len(y_true))

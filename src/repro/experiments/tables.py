@@ -141,7 +141,7 @@ def table4_parameters(suite: ExperimentSuite) -> tuple[list[dict], str]:
 
 
 def table5_time(suite: ExperimentSuite) -> tuple[list[dict], str]:
-    """Table V: computation time per test/train iteration (mean ± std seconds)."""
+    """Table V: model time per iteration, predict + partial_fit (mean ± std s)."""
     records = []
     for model_key in suite.model_names:
         times = []

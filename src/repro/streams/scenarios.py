@@ -670,6 +670,8 @@ class LabelMasker(StreamTransform):
     (semi-supervised updates).
     """
 
+    _repro_transient = StreamTransform._repro_transient + ("_withheld_cache",)
+
     def __init__(
         self,
         stream: Stream,
@@ -688,28 +690,44 @@ class LabelMasker(StreamTransform):
         self.start = float(start)
         self.end = float(end)
 
+    def _init_transient(self) -> None:
+        super()._init_transient()
+        #: ``(block, withheld)`` of the block drawn last: the evaluator asks
+        #: for a few rows at a time, so one block serves many calls.
+        self._withheld_cache: tuple[int, np.ndarray] | None = None
+
+    def _withheld(self, block: int) -> np.ndarray:
+        """Withholding draws of every row of ``block`` (cached per block)."""
+        if self._withheld_cache is not None and self._withheld_cache[0] == block:
+            return self._withheld_cache[1]
+        draws = self.block_rng(block).random(self._block_row_count(block))
+        withheld = draws < self.rate
+        self._withheld_cache = (block, withheld)
+        return withheld
+
     def label_available(self, start: int, count: int) -> np.ndarray:
         """Availability mask of rows ``[start, start + count)``.
 
         Draws are made for whole blocks (and sliced to the request) so any
         consumption schedule sees the bit-identical mask.
         """
-        available = np.ones(count, dtype=bool)
         if self.rate == 0.0 or count <= 0:
-            return available
+            return np.ones(count, dtype=bool)
+        window = self._window_mask(start, count, self.start, self.end)
+        if window is False:
+            return np.ones(count, dtype=bool)
+        available = np.ones(count, dtype=bool)
         size = self.block_size
         first, last = start // size, (start + count - 1) // size
         for block in range(first, last + 1):
             block_start = block * size
-            block_count = self._block_row_count(block)
-            withheld = self.block_rng(block).random(block_count) < self.rate
+            withheld = self._withheld(block)
             lo = max(start - block_start, 0)
-            hi = min(start + count - block_start, block_count)
+            hi = min(start + count - block_start, len(withheld))
             out_lo = block_start + lo - start
-            available[out_lo : out_lo + (hi - lo)] = ~withheld[lo:hi]
-        window = self._window_mask(start, count, self.start, self.end)
-        if window is False:
-            return np.ones(count, dtype=bool)
+            np.logical_not(
+                withheld[lo:hi], out=available[out_lo : out_lo + (hi - lo)]
+            )
         if window is not True:
             available |= ~window
         return available

@@ -16,6 +16,11 @@ from repro.evaluation.metrics import (
     precision_score,
     recall_score,
 )
+from tests.metrics_oracle import (
+    ReferenceConfusionMatrix,
+    reference_batch_scores,
+    reference_kappa_temporal_score,
+)
 
 
 class TestConfusionMatrix:
@@ -387,3 +392,183 @@ class TestKappaMetrics:
         matrix.update(y_true, y_pred)
         assert matrix.kappa() == pytest.approx(cohen_kappa_score(y_true, y_pred))
         assert matrix.kappa_m() == pytest.approx(kappa_m_score(y_true, y_pred))
+
+
+# ---------------------------------------------------------------------------
+# One-pass scoring vs the per-method oracle, bit for bit
+# ---------------------------------------------------------------------------
+def _hex(values):
+    return [float(value).hex() for value in values]
+
+
+def _one_pass_session(classes, average):
+    """A session whose batch scorer counts over ``classes`` (any order)."""
+    from repro.evaluation.prequential import PrequentialSession
+    from repro.streams.base import ArrayStream
+    from repro.trees.vfdt import HoeffdingTreeClassifier
+
+    stream = ArrayStream(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
+    session = PrequentialSession(
+        HoeffdingTreeClassifier(), stream, batch_size=2, f1_average=average
+    )
+    session.confusion = ConfusionMatrix(classes)
+    return session
+
+
+def _scored_traces(result):
+    return (
+        result.f1_trace, result.accuracy_trace, result.kappa_trace,
+        result.kappa_m_trace, result.kappa_temporal_trace,
+    )
+
+
+def _assert_session_matches_oracle(classes, average, batches):
+    """Score ``(y_true, y_pred, mask)`` batches both ways; compare bits."""
+    session = _one_pass_session(classes, average)
+    running = ReferenceConfusionMatrix(classes)
+    last_label = None
+    for y_true, y_pred, mask in batches:
+        y_scored, pred_scored = y_true[mask], y_pred[mask]
+        if average == "binary" and len(classes) != 2:
+            with pytest.raises(ValueError, match="binary"):
+                reference_batch_scores(
+                    running, y_scored, pred_scored, average, last_label
+                )
+            with pytest.raises(ValueError, match="binary"):
+                session._score(y_scored, pred_scored)
+            return
+        expected = reference_batch_scores(
+            running, y_scored, pred_scored, average, last_label
+        )
+        session.last_label = last_label
+        session._score(y_scored, pred_scored)
+        assert _hex(trace[-1] for trace in _scored_traces(session.result)) == _hex(
+            expected
+        )
+        if len(y_scored):
+            last_label = int(y_scored[-1])
+    assert session.confusion.matrix.dtype == running.matrix.dtype
+    np.testing.assert_array_equal(session.confusion.matrix, running.matrix)
+    # The running matrix's own metrics are views of the same derivation.
+    matrix = session.confusion
+    for name in ("macro", "weighted") + (("binary",) if len(classes) == 2 else ()):
+        for metric in ("f1", "precision", "recall"):
+            assert float(getattr(matrix, metric)(name)).hex() == float(
+                getattr(running, metric)(name)
+            ).hex(), (metric, name)
+    assert _hex([matrix.accuracy(), matrix.kappa(), matrix.kappa_m()]) == _hex(
+        [running.accuracy(), running.kappa(), running.kappa_m()]
+    )
+    for per_class in ("per_class_precision", "per_class_recall", "per_class_f1"):
+        assert _hex(getattr(matrix, per_class)()) == _hex(
+            getattr(running, per_class)()
+        )
+
+
+@st.composite
+def _class_space_and_batches(draw):
+    """Unsorted, non-contiguous classes; batches that may be empty or masked."""
+    n_classes = draw(st.integers(2, 25))
+    classes = draw(
+        st.lists(
+            st.integers(-1_000, 1_000),
+            min_size=n_classes,
+            max_size=n_classes,
+            unique=True,
+        )
+    )
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 64))
+        labels = st.lists(st.sampled_from(classes), min_size=n, max_size=n)
+        y_true = np.array(draw(labels), dtype=np.int64)
+        y_pred = np.array(draw(labels), dtype=np.int64)
+        mask = np.array(
+            draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool
+        )
+        if draw(st.booleans()):
+            mask[:] = True
+        batches.append((y_true, y_pred, mask))
+    return np.array(classes), batches
+
+
+class TestOnePassScoringMatchesOracle:
+    @given(
+        space=_class_space_and_batches(),
+        average=st.sampled_from(("weighted", "macro", "binary")),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batch_scores_and_running_matrix_are_bit_identical(
+        self, space, average
+    ):
+        classes, batches = space
+        _assert_session_matches_oracle(classes, average, batches)
+
+    @pytest.mark.parametrize("average", ["weighted", "macro"])
+    def test_many_class_batches_keep_numpys_reduction(self, average):
+        # From eight classes on numpy's pairwise sum and a left-to-right sum
+        # disagree in the last bit for a few percent of batches; enough
+        # seeded batches make a left-to-right weighted average fail here.
+        rng = np.random.default_rng(20_221)
+        for _ in range(60):
+            n_classes = rng.integers(8, 26)
+            classes = rng.permutation(rng.choice(500, n_classes, replace=False))
+            batches = []
+            for _ in range(20):
+                n = int(rng.integers(1, 200))
+                truth = rng.choice(classes, n)
+                guess = np.where(rng.random(n) < 0.6, truth, rng.choice(classes, n))
+                batches.append((truth, guess, rng.random(n) < 0.9))
+            _assert_session_matches_oracle(classes, average, batches)
+
+    def test_all_masked_batch_scores_zero_and_adds_nothing(self):
+        y = np.array([3, 7, 7])
+        _assert_session_matches_oracle(
+            np.array([7, 3]), "weighted", [(y, y, np.zeros(3, dtype=bool))]
+        )
+
+    @given(space=_class_space_and_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_functional_scores_match_oracle(self, space):
+        _, batches = space
+        y_true, y_pred, _ = batches[0]
+        classes = np.unique(np.concatenate([y_true, y_pred]))
+        if len(classes) < 2:
+            classes = np.unique(np.concatenate([classes, [0, 1]]))
+        oracle = ReferenceConfusionMatrix(classes).update(y_true, y_pred)
+        for average in ("macro", "weighted"):
+            assert f1_score(y_true, y_pred, average).hex() == oracle.f1(average).hex()
+            assert precision_score(y_true, y_pred, average).hex() == (
+                oracle.precision(average).hex()
+            )
+            assert recall_score(y_true, y_pred, average).hex() == (
+                oracle.recall(average).hex()
+            )
+        assert accuracy_score(y_true, y_pred).hex() == oracle.accuracy().hex()
+        assert cohen_kappa_score(y_true, y_pred).hex() == oracle.kappa().hex()
+        assert kappa_m_score(y_true, y_pred).hex() == oracle.kappa_m().hex()
+        for last_label in (None, int(y_true[0]) if len(y_true) else None):
+            assert kappa_temporal_score(y_true, y_pred, last_label).hex() == (
+                reference_kappa_temporal_score(y_true, y_pred, last_label).hex()
+            )
+
+
+def test_update_allocates_little_beyond_its_labels():
+    """``update`` maps each side separately: no concatenated label copy."""
+    import tracemalloc
+
+    n = 200_000
+    rng = np.random.default_rng(3)
+    y_true = rng.integers(0, 9, size=n)
+    y_pred = rng.integers(0, 9, size=n)
+    matrix = ConfusionMatrix(np.arange(9)[::-1])
+    matrix.update(y_true[:10], y_pred[:10])
+    tracemalloc.start()
+    try:
+        matrix.update(y_true, y_pred)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One side's class indices held while the other side is mapped: about
+    # 3.1 label arrays.  Concatenating the two sides first needs about six.
+    assert peak <= 3.5 * y_true.nbytes, peak

@@ -304,3 +304,69 @@ class TestLabelRealismEvaluation:
         np.testing.assert_array_equal(
             resumed.overall_confusion.matrix, reference.overall_confusion.matrix
         )
+
+
+class TestModelTime:
+    """Table V's time is ``predict`` plus ``partial_fit`` and nothing else."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_injected_clock_bills_only_predict_and_training(
+        self, monkeypatch, masked
+    ):
+        import repro.evaluation.prequential as prequential
+        from repro.evaluation.metrics import ConfusionMatrix, Marginals
+        from repro.streams.scenarios import LabelRealism
+
+        now = [0.0]
+        monkeypatch.setattr(prequential, "perf_counter", lambda: now[0])
+
+        def costing(seconds, function):
+            def wrapped(*args, **kwargs):
+                now[0] += seconds
+                return function(*args, **kwargs)
+
+            return wrapped
+
+        class TimedClassifier(_CountingClassifier):
+            def predict(self, X):
+                now[0] += 1.0
+                return super().predict(X)
+
+            def partial_fit(self, X, y, classes=None):
+                now[0] += 10.0
+                return super().partial_fit(X, y, classes)
+
+            def complexity(self):
+                now[0] += 1000.0
+                return super().complexity()
+
+        # Every piece of the evaluator's own work costs 100 s on this clock.
+        marginals_of = Marginals.of
+        monkeypatch.setattr(
+            Marginals, "of", classmethod(lambda cls, counts: costing(
+                100.0, marginals_of)(counts))
+        )
+        monkeypatch.setattr(
+            ConfusionMatrix, "count", costing(100.0, ConfusionMatrix.count)
+        )
+        monkeypatch.setattr(
+            prequential,
+            "kappa_temporal_score",
+            costing(100.0, prequential.kappa_temporal_score),
+        )
+        monkeypatch.setattr(
+            LabelRealism, "available", costing(100.0, LabelRealism.available)
+        )
+        monkeypatch.setattr(
+            LabelRealism, "arrival", costing(100.0, LabelRealism.arrival)
+        )
+        stream = _binary_stream(n=300)
+        if masked:
+            stream = LabelMasker(stream, rate=0.5, seed=11)
+        model = TimedClassifier()
+        result = PrequentialEvaluator(batch_size=30).evaluate(model, stream)
+
+        assert model.predict_calls == result.n_iterations - 1
+        assert set(result.time_trace) <= {0.0, 1.0, 10.0, 11.0}
+        assert sum(result.time_trace) == model.predict_calls + 10.0 * model.fit_calls
+        assert result.time_trace[0] == 10.0  # the warm-up batch only trains

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.registry import (
     SCENARIO_REGISTRY,
@@ -536,6 +538,40 @@ class TestLabelMasker:
             [stream.label_available(0, 700), stream.label_available(700, N - 700)]
         )
         np.testing.assert_array_equal(full, pieces)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        cuts=st.lists(st.integers(1, N - 1), max_size=12, unique=True),
+        revisit=st.integers(0, N - 8),
+    )
+    def test_cached_block_mask_is_chunk_invariant(self, cuts, revisit):
+        # Steps of any size reuse the last block's draws; the mask must not
+        # depend on the schedule, nor on a jump back into an earlier block.
+        reference = LabelMasker(_sea(), rate=0.4, start=0.1, seed=3)
+        full = reference.label_available(0, N)
+        stream = LabelMasker(_sea(), rate=0.4, start=0.1, seed=3)
+        bounds = [0, *sorted(cuts), N]
+        pieces = [
+            stream.label_available(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        np.testing.assert_array_equal(np.concatenate(pieces), full)
+        np.testing.assert_array_equal(
+            stream.label_available(revisit, 8), full[revisit : revisit + 8]
+        )
+
+    def test_cached_block_mask_survives_a_persistence_round_trip(self):
+        from repro.persistence import from_state, to_state
+
+        stream = LabelMasker(_sea(), rate=0.4, seed=3)
+        head = [stream.label_available(start, 8) for start in range(0, 80, 8)]
+        state = to_state(stream)
+        assert "_withheld_cache" not in json.dumps(state)
+        clone = from_state(state)
+        full = LabelMasker(_sea(), rate=0.4, seed=3).label_available(0, N)
+        np.testing.assert_array_equal(
+            np.concatenate(head + [clone.label_available(80, N - 80)]), full
+        )
+        np.testing.assert_array_equal(stream.label_available(80, N - 80), full[80:])
 
     def test_data_passes_through_unchanged(self):
         stream = LabelMasker(_sea(), rate=0.9, seed=3)
