@@ -6,8 +6,7 @@ blocks only -- the chunk-invariance contract of the stream core), wall-clock
 discipline (no clock reads in deterministic layers), telemetry-guard
 discipline (every ``TELEMETRY`` call site pays one attribute read when
 disabled), persistence completeness (every persistable class is registered
-in the codec registry), vectorized parity (every ``vectorized`` flag keeps
-its reference path), and metric naming (``repro.<layer>.<metric>``).
+in the codec registry), and metric naming (``repro.<layer>.<metric>``).
 
 :mod:`repro.analysis` enforces them *statically*: an AST visitor driver
 walks ``src/repro``, runs a set of :class:`~repro.analysis.core.Checker`

@@ -9,7 +9,6 @@ from repro.analysis.checkers.persistence import PersistenceChecker
 from repro.analysis.checkers.purity import KernelPurityChecker
 from repro.analysis.checkers.rng import RngDisciplineChecker
 from repro.analysis.checkers.telemetry_guard import TelemetryGuardChecker
-from repro.analysis.checkers.vectorized import VectorizedParityChecker
 from repro.analysis.checkers.wallclock import WallClockChecker
 
 __all__ = [
@@ -20,6 +19,5 @@ __all__ = [
     "PersistenceChecker",
     "RngDisciplineChecker",
     "TelemetryGuardChecker",
-    "VectorizedParityChecker",
     "WallClockChecker",
 ]

@@ -1,37 +1,27 @@
-"""PUR -- kernel purity certification for the backend seam.
+"""PUR -- purity certification of the stream kernels.
 
-ROADMAP item 3 (compiled/multi-backend kernels) is only admissible for
-functions that are provably free of hidden state mutation: a kernel that
-scribbles on ``self``, a global, or a caller's array cannot be swapped
-for a compiled implementation (or replayed for the bit-identical pinning
-of PRs 3-5) without changing behaviour.  This pass certifies two kernel
-families using the interprocedural dataflow facts:
-
-* **stream kernels** -- ``_generate`` / ``_generate_block`` on concrete
-  ``SeededStream`` subclasses.  Allowed self-state is exactly the
-  ``_repro_transient`` declaration (replay caches); everything else must
-  stay untouched.  Arrays obtained from a wrapped stream
-  (``peek_rows``/``_source``/``_block``) are *borrowed* -- mutating one
-  without an intervening ``.copy()`` corrupts the upstream cache.
-* **vectorized kernels** -- methods that branch on a ``vectorized`` flag
-  (the PR 4-5 parity contract).  They may update their own model state
-  (that is what training is), but must not mutate globals or caller
-  arrays.
+A stream kernel -- ``_generate`` / ``_generate_block`` on a concrete
+``SeededStream`` subclass -- must be replayable: the chunk-invariance
+contract of the stream core regenerates any block on demand, so a kernel
+that scribbles on ``self``, a global, or a caller's array changes what a
+replay returns.  Allowed self-state is exactly the ``_repro_transient``
+declaration (replay caches); everything else must stay untouched.  Arrays
+obtained from a wrapped stream (``peek_rows``/``_source``/``_block``) are
+*borrowed* -- mutating one without an intervening ``.copy()`` corrupts the
+upstream cache.  The pass uses the interprocedural dataflow facts.
 
 ``PUR001`` flags direct impurity in the kernel body; ``PUR002`` flags
-impurity reached through a callee.  The certified survivors are pinned in
-``kernel_manifest.json`` (``--regen-manifest``), the admission list for
-the backend seam.
+impurity reached through a callee.  The certified kernels are pinned in
+``kernel_manifest.json`` (``--regen-manifest``), so a kernel silently
+losing its certification shows up as a reviewed diff.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.core import Checker, Finding, Project, Rule
 from repro.analysis.checkers.persistence import _ancestors, is_abstract
-from repro.analysis.checkers.vectorized import _class_sets_vectorized
 
 if TYPE_CHECKING:  # deferred: dataflow imports callgraph, which imports
     from repro.analysis.dataflow import DataflowEngine  # this package
@@ -46,11 +36,6 @@ STREAM_BASES = frozenset({"Stream", "SeededStream"})
 #: Names of the stream kernel entry points.
 STREAM_KERNELS = ("_generate", "_generate_block")
 
-#: Data-contract array parameters.  Vectorized kernels may mutate their
-#: *model* state (tree nodes passed between helpers included) -- training
-#: is mutation -- but never the caller's data arrays.
-DATA_PARAMS = frozenset({"X", "y", "sample_weight", "X_block", "y_block"})
-
 
 def _short(qualname: str) -> str:
     return ".".join(qualname.rsplit(".", 2)[-2:])
@@ -63,17 +48,6 @@ def _is_stream_class(cls: str, engine: DataflowEngine) -> bool:
         base.rsplit(".", 1)[-1] in STREAM_BASES
         for base in _ancestors(cls, engine.graph.class_graph)
     )
-
-
-def _reads_vectorized_flag(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Attribute)
-            and child.attr == "vectorized"
-            and isinstance(child.ctx, ast.Load)
-        ):
-            return True
-    return False
 
 
 def discover_stream_kernels(engine: DataflowEngine) -> tuple[str, ...]:
@@ -97,24 +71,7 @@ def discover_stream_kernels(engine: DataflowEngine) -> tuple[str, ...]:
     return tuple(sorted(kernels))
 
 
-def discover_vectorized_kernels(engine: DataflowEngine) -> tuple[str, ...]:
-    """Methods of flag-owning classes that branch on ``self.vectorized``."""
-    kernels: set[str] = set()
-    for cls in sorted(engine.graph.class_graph):
-        info = engine.graph.class_graph[cls]
-        if not _class_sets_vectorized(info.node):
-            continue
-        for qualname, fn in engine.graph.functions.items():
-            if fn.cls != cls or fn.name == "__init__":
-                continue
-            if _reads_vectorized_flag(fn.node):
-                kernels.add(qualname)
-    return tuple(sorted(kernels))
-
-
-def kernel_findings(
-    engine: DataflowEngine, qualname: str, *, allow_self_writes: bool
-) -> list[Finding]:
+def kernel_findings(engine: DataflowEngine, qualname: str) -> list[Finding]:
     """PUR001/PUR002 findings for one kernel function."""
     from repro.analysis.dataflow import transient_of
 
@@ -136,18 +93,17 @@ def kernel_findings(
             )
         )
 
-    if not allow_self_writes:
-        for access in summary.accesses:
-            if access.kind != "write" or access.attr in allowed:
-                continue
-            emit(
-                "PUR001",
-                access.line,
-                access.col,
-                f"kernel {_short(qualname)} mutates non-transient self "
-                f"state '{access.attr}' (declare it in _repro_transient "
-                "or hoist the mutation out of the kernel)",
-            )
+    for access in summary.accesses:
+        if access.kind != "write" or access.attr in allowed:
+            continue
+        emit(
+            "PUR001",
+            access.line,
+            access.col,
+            f"kernel {_short(qualname)} mutates non-transient self "
+            f"state '{access.attr}' (declare it in _repro_transient "
+            "or hoist the mutation out of the kernel)",
+        )
     for name in sorted(summary.writes_globals):
         emit(
             "PUR001",
@@ -157,8 +113,6 @@ def kernel_findings(
             f"'{name}'",
         )
     for name in sorted(summary.mutated_params):
-        if allow_self_writes and name not in DATA_PARAMS:
-            continue  # model-state objects threaded through helpers
         emit(
             "PUR001",
             fn.node.lineno,
@@ -182,7 +136,7 @@ def kernel_findings(
             facts = engine.facts.get(target)
             if facts is None:
                 continue
-            if not allow_self_writes and call.site.on_self:
+            if call.site.on_self:
                 # ``impure_writes_self`` is already filtered against each
                 # *writer's own* transient declaration, so a subclass
                 # cache write deep in a dispatch chain is not impurity.
@@ -207,9 +161,6 @@ def kernel_findings(
                     if (
                         binding.is_param
                         and caller_name not in summary.mutated_params
-                        and not (
-                            allow_self_writes and caller_name not in DATA_PARAMS
-                        )
                     ):
                         culprits.add(
                             f"caller argument '{caller_name}' via "
@@ -232,21 +183,13 @@ def kernel_findings(
     return findings
 
 
-def certified_kernels(
-    engine: DataflowEngine,
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(stream kernels, vectorized kernels) with zero PUR findings."""
-    streams = tuple(
+def certified_kernels(engine: DataflowEngine) -> tuple[str, ...]:
+    """Stream kernels with zero PUR findings."""
+    return tuple(
         qualname
         for qualname in discover_stream_kernels(engine)
-        if not kernel_findings(engine, qualname, allow_self_writes=False)
+        if not kernel_findings(engine, qualname)
     )
-    vectorized = tuple(
-        qualname
-        for qualname in discover_vectorized_kernels(engine)
-        if not kernel_findings(engine, qualname, allow_self_writes=True)
-    )
-    return streams, vectorized
 
 
 class KernelPurityChecker(Checker):
@@ -255,8 +198,8 @@ class KernelPurityChecker(Checker):
         Rule(
             "PUR001",
             "kernel mutates non-transient self state, globals, or caller arrays",
-            "the backend seam (ROADMAP item 3) and the bit-identical "
-            "replay pinning both require kernels to be pure modulo "
+            "the chunk-invariance contract regenerates stream blocks on "
+            "demand, so a replayed kernel must be pure modulo its "
             "_repro_transient caches",
         ),
         Rule(
@@ -272,6 +215,4 @@ class KernelPurityChecker(Checker):
 
         engine = shared_engine(project)
         for qualname in discover_stream_kernels(engine):
-            yield from kernel_findings(engine, qualname, allow_self_writes=False)
-        for qualname in discover_vectorized_kernels(engine):
-            yield from kernel_findings(engine, qualname, allow_self_writes=True)
+            yield from kernel_findings(engine, qualname)

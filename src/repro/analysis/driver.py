@@ -36,7 +36,6 @@ def default_checkers() -> tuple[Checker, ...]:
         PersistenceChecker,
         RngDisciplineChecker,
         TelemetryGuardChecker,
-        VectorizedParityChecker,
         WallClockChecker,
     )
 
@@ -45,7 +44,6 @@ def default_checkers() -> tuple[Checker, ...]:
         WallClockChecker(),
         TelemetryGuardChecker(),
         PersistenceChecker(),
-        VectorizedParityChecker(),
         MetricNamingChecker(),
         LockDisciplineChecker(),
         KernelPurityChecker(),

@@ -2,10 +2,9 @@
 
 ``python -m repro.analysis --regen-manifest`` runs the PUR purity pass
 over the live tree and rewrites ``kernel_manifest.json`` at the repo root
-with every stream (``_generate``/``_generate_block``) and vectorized
-kernel that certifies pure.  Like the metric inventory, the manifest is a
-checked-in, reviewed artefact (CI diffs it for currency): it is the
-admission list for the ROADMAP item-3 backend seam, so a kernel silently
+with every stream kernel (``_generate``/``_generate_block``) that
+certifies pure.  Like the metric inventory, the manifest is a checked-in,
+reviewed artefact (CI diffs it for currency), so a kernel silently
 falling out of certification is a reviewed change, not an accident.
 """
 
@@ -23,11 +22,9 @@ MANIFEST_VERSION = 1
 
 def collect_manifest(project: Project) -> dict[str, object]:
     """The manifest payload: certified kernels, sorted, plus a version."""
-    streams, vectorized = certified_kernels(shared_engine(project))
     return {
         "version": MANIFEST_VERSION,
-        "generate_kernels": list(streams),
-        "vectorized_kernels": list(vectorized),
+        "generate_kernels": list(certified_kernels(shared_engine(project))),
     }
 
 

@@ -16,12 +16,12 @@ field, candidates in insertion order), so the per-batch refresh of every
 stored candidate is a single broadcast mask matrix ``X[:, feats] <= thrs``
 followed by one ``(n, k) x (n, p)`` contraction instead of a Python loop per
 candidate.  The accumulation primitives are chosen for bit-equivalence with
-the retained per-candidate reference path (``vectorized=False``): losses and
-gradients use ``np.einsum`` (sequential accumulation over rows, exactly like
-summing the masked rows of a loss-augmented gradient matrix along axis 0)
-rather than a BLAS matmul, whose blocked partial sums differ in the last
-ulp, and the gain sweep's squared gradient norms use the same einsum loop
-order as the scalar reference in :func:`approximate_candidate_loss`.
+the per-candidate scalar reference kept as a test oracle (``tests/oracles``):
+losses and gradients use ``np.einsum`` (sequential accumulation over rows,
+exactly like summing the masked rows of a loss-augmented gradient matrix
+along axis 0) rather than a BLAS matmul, whose blocked partial sums differ
+in the last ulp, and the gain sweep's squared gradient norms use the same
+einsum loop order as the scalar :func:`approximate_candidate_loss`.
 """
 
 from __future__ import annotations
@@ -30,18 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.gains import approximate_candidate_loss, split_gain
 from repro.telemetry import DMT_CANDIDATES, TELEMETRY
-
 
 
 @dataclass
 class CandidateStatistics:
     """Accumulated left-partition statistics of one split candidate.
 
-    Used as the materialised per-candidate view of the structure-of-arrays
-    store, as the scalar reference implementation for the vectorized gain
-    sweep, and as the payload format of legacy serialized models.
+    The materialised per-candidate view of the structure-of-arrays store
+    (what :meth:`CandidateManager.best_candidate` returns).
     """
 
     feature: int
@@ -63,60 +60,19 @@ class CandidateStatistics:
             self.gradient = self.gradient + gradient
         self.count += float(count)
 
-    def gain(
-        self,
-        node_loss: float,
-        node_gradient: np.ndarray,
-        node_count: float,
-        learning_rate: float,
-        reference_loss: float | None = None,
-    ) -> float:
-        """Loss-based gain of this candidate.
-
-        Parameters
-        ----------
-        node_loss, node_gradient, node_count:
-            Accumulated statistics of the node owning this candidate.  The
-            right-child statistics are derived as node minus left.
-        learning_rate:
-            SGD step size used in the candidate-loss approximation.
-        reference_loss:
-            The loss the candidate competes against.  For a leaf node this is
-            the node's own loss (equation (3)); for an inner node it is the
-            summed loss of the subtree's leaves (equation (4)).  Defaults to
-            ``node_loss``.
-        """
-        if reference_loss is None:
-            reference_loss = node_loss
-        left_loss = approximate_candidate_loss(
-            self.loss, self.gradient, self.count, learning_rate
-        )
-        right_gradient = (
-            node_gradient - self.gradient
-            if self.gradient.size
-            else node_gradient
-        )
-        right_loss = approximate_candidate_loss(
-            node_loss - self.loss,
-            right_gradient,
-            node_count - self.count,
-            learning_rate,
-        )
-        return split_gain(reference_loss, left_loss, right_loss)
-
 
 def augment_batch(
     per_sample_loss: np.ndarray, per_sample_gradient: np.ndarray
 ) -> np.ndarray:
     """Gradient matrix with the per-sample loss as an extra last column.
 
-    The candidate store accumulates losses and gradients through the same
-    sequential axis-0 summation (reference path) or einsum contraction
-    (vectorized path) of this one matrix -- a separate 1-D
-    ``loss[mask].sum()`` would sum the compressed subset pairwise and drift
-    from the vectorized path in the last ulp.  The column layout (loss last)
-    is a contract between this function, :meth:`CandidateManager.update_stored`
-    and :meth:`DMTNode.update_statistics`.
+    The candidate store accumulates losses and gradients through one einsum
+    contraction of this matrix, which adds the masked rows in the same order
+    as summing them along axis 0 -- a separate 1-D ``loss[mask].sum()`` would
+    sum the compressed subset pairwise and drift in the last ulp.  The column
+    layout (loss last) is a contract between this function,
+    :meth:`CandidateManager.update_stored` and
+    :meth:`DMTNode.update_statistics`.
     """
     return np.concatenate(
         [per_sample_gradient, per_sample_loss[:, None]], axis=1
@@ -136,9 +92,10 @@ def candidate_gain_sweep(
 ) -> np.ndarray:
     """Gains of all candidates in one sweep -- equations (3), (4) and (7).
 
-    Bit-identical to calling :meth:`CandidateStatistics.gain` per candidate:
-    the squared gradient norms use the same einsum accumulation order as the
-    scalar reference, everything else is elementwise.
+    Bit-identical to the scalar per-candidate gain (the candidate losses of
+    :func:`~repro.core.gains.approximate_candidate_loss` fed to
+    :func:`~repro.core.gains.split_gain`): the squared gradient norms use the
+    same einsum accumulation order, everything else is elementwise.
     ``assume_counts_positive`` skips the empty-subset guard on the left
     child; the candidate store guarantees it (candidates are only admitted
     with observations and counts never decrease).
@@ -204,20 +161,11 @@ class CandidateManager:
         single batch.  If a batch contains more unique values, evenly spaced
         quantiles are used instead; this mirrors how practical incremental
         trees bound the candidate space for continuous features.
-    vectorized:
-        Whether batch updates and gain queries use the vectorized
-        structure-of-arrays primitives (the default) or the per-candidate
-        reference loops.  Both paths are bit-equivalent; the reference path
-        exists for verification and benchmarking.
     """
 
     #: Pure caches skipped by the persistence encoder and rebuilt by
-    #: :meth:`_init_transient` (which also migrates legacy payloads that
-    #: stored a dict of :class:`CandidateStatistics`).
+    #: :meth:`_init_transient`.
     _repro_transient = ("_key_index", "_candidate_counters")
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -225,7 +173,6 @@ class CandidateManager:
         max_candidates: int | None = None,
         replacement_rate: float = 0.5,
         max_values_per_feature: int = 10,
-        vectorized: bool = True,
     ) -> None:
         if n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {n_features}.")
@@ -248,7 +195,6 @@ class CandidateManager:
             )
         self.replacement_rate = float(replacement_rate)
         self.max_values_per_feature = int(max_values_per_feature)
-        self.vectorized = bool(vectorized)
         self._features = np.zeros(0, dtype=np.intp)
         self._thresholds = np.zeros(0, dtype=float)
         self._losses = np.zeros(0, dtype=float)
@@ -258,7 +204,7 @@ class CandidateManager:
 
     # -------------------------------------------------------------- decoding
     def _init_transient(self) -> None:
-        """Rebuild the key index; migrate legacy dict-of-dataclass payloads."""
+        """Rebuild the key index and the telemetry counter cache."""
         #: Cached admitted/evicted counter handles, stamped with the metric
         #: registry generation they were resolved under (a registry
         #: ``clear()`` bumps the generation and invalidates them).
@@ -267,23 +213,6 @@ class CandidateManager:
         #: per-update path.  Instance state (not a module cache) so the
         #: kernel purity certification stays free of module-level writes.
         self._candidate_counters: dict = {"generation": -1}
-        legacy = self.__dict__.pop("_candidates", None)
-        if legacy is not None:
-            stats = list(legacy.values())
-            width = max((stat.gradient.size for stat in stats), default=0)
-            self._features = np.array(
-                [stat.feature for stat in stats], dtype=np.intp
-            )
-            self._thresholds = np.array(
-                [stat.threshold for stat in stats], dtype=float
-            )
-            self._losses = np.array([stat.loss for stat in stats], dtype=float)
-            self._counts = np.array([stat.count for stat in stats], dtype=float)
-            gradients = np.zeros((len(stats), width))
-            for row, stat in enumerate(stats):
-                if stat.gradient.size:
-                    gradients[row] = stat.gradient
-            self._gradients = gradients
         self._rebuild_key_index()
 
     def _rebuild_key_index(self) -> None:
@@ -357,33 +286,15 @@ class CandidateManager:
     def propose_thresholds(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Candidate thresholds per feature observed in the current batch.
 
-        The vectorized path batches all features through one sort and one
-        quantile interpolation (:meth:`_propose_concat`); the reference path
-        keeps the original per-feature ``np.unique``/``np.quantile`` calls.
-        Both produce bit-identical threshold values.
+        A per-feature view of :meth:`_propose_concat`, which batches all
+        features through one sort and one quantile interpolation.
         """
-        X = np.asarray(X, dtype=float)
-        if self.vectorized:
-            features, thresholds = self._propose_concat(X)
-            boundaries = np.searchsorted(
-                features, np.arange(self.n_features + 1)
-            )
-            return {
-                feature: thresholds[boundaries[feature] : boundaries[feature + 1]]
-                for feature in range(self.n_features)
-            }
-        proposals: dict[int, np.ndarray] = {}
-        quantiles: np.ndarray | None = None
-        for feature in range(self.n_features):
-            values = np.unique(X[:, feature])
-            if len(values) > self.max_values_per_feature:
-                if quantiles is None:
-                    quantiles = np.linspace(
-                        0.0, 1.0, self.max_values_per_feature + 2
-                    )[1:-1]
-                values = np.unique(np.quantile(values, quantiles))
-            proposals[feature] = values
-        return proposals
+        features, thresholds = self._propose_concat(np.asarray(X, dtype=float))
+        boundaries = np.searchsorted(features, np.arange(self.n_features + 1))
+        return {
+            feature: thresholds[boundaries[feature] : boundaries[feature + 1]]
+            for feature in range(self.n_features)
+        }
 
     def _propose_concat(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """All proposed ``(feature, threshold)`` pairs of a batch at once.
@@ -463,27 +374,20 @@ class CandidateManager:
         self._ensure_width(per_sample_gradient.shape[1])
         if augmented is None:
             augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        if self.vectorized:
-            masks = X[:, self._features] <= self._thresholds
-            sums = np.einsum("nk,np->kp", masks.astype(float), augmented)
-            self._gradients += sums[:, :-1]
-            self._losses += sums[:, -1]
-            self._counts += masks.sum(axis=0)
-        else:
-            self._update_stored_per_candidate(X, augmented)
+        masks = X[:, self._features] <= self._thresholds
+        sums = self._masked_sums(masks, augmented)
+        self._gradients += sums[:, :-1]
+        self._losses += sums[:, -1]
+        self._counts += masks.sum(axis=0)
 
-    def _update_stored_per_candidate(
-        self, X: np.ndarray, augmented: np.ndarray
-    ) -> None:
-        """Reference implementation: one Python-loop mask per candidate."""
-        for index in range(len(self._features)):
-            mask = X[:, self._features[index]] <= self._thresholds[index]
-            if not np.any(mask):
-                continue
-            sums = augmented[mask].sum(axis=0)
-            self._losses[index] += sums[-1]
-            self._gradients[index] += sums[:-1]
-            self._counts[index] += mask.sum()
+    @staticmethod
+    def _masked_sums(masks: np.ndarray, augmented: np.ndarray) -> np.ndarray:
+        """Column sums of ``augmented`` over each mask column, shape ``(k, p)``.
+
+        One einsum contraction: it accumulates rows sequentially, exactly
+        like summing each candidate's masked rows along axis 0.
+        """
+        return np.einsum("nk,np->kp", masks.astype(float), augmented)
 
     def consider_new(
         self,
@@ -520,35 +424,15 @@ class CandidateManager:
             return
         fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
 
-        if self.vectorized:
-            fresh_gains = candidate_gain_sweep(
-                fresh_losses,
-                fresh_gradients,
-                fresh_counts,
-                node_loss=batch_loss,
-                node_gradient=batch_gradient,
-                node_count=batch_count,
-                learning_rate=learning_rate,
-                assume_counts_positive=True,
-            )
-        else:
-            fresh_gains = np.array(
-                [
-                    CandidateStatistics(
-                        feature=int(fresh_features[index]),
-                        threshold=float(fresh_thresholds[index]),
-                        loss=float(fresh_losses[index]),
-                        gradient=fresh_gradients[index],
-                        count=float(fresh_counts[index]),
-                    ).gain(
-                        node_loss=batch_loss,
-                        node_gradient=batch_gradient,
-                        node_count=batch_count,
-                        learning_rate=learning_rate,
-                    )
-                    for index in range(len(fresh_features))
-                ]
-            )
+        fresh_gains = self._gains(
+            fresh_losses,
+            fresh_gradients,
+            fresh_counts,
+            batch_loss,
+            batch_gradient,
+            batch_count,
+            learning_rate,
+        )
 
         # Stable descending order == the stable Python sort it replaces:
         # ties keep proposal order (feature, then threshold ascending).
@@ -617,29 +501,7 @@ class CandidateManager:
         tuple ``(features, thresholds, losses, gradients, counts)`` in
         proposal order (feature ascending, threshold ascending).
         """
-        if self.vectorized:
-            fresh_features, fresh_thresholds = self._propose_concat(X)
-            if len(self._features):
-                # Drop proposals already stored: exact (feature, threshold)
-                # matches, the same comparison the key-dict lookup performs.
-                duplicate = (
-                    (fresh_features[:, None] == self._features)
-                    & (fresh_thresholds[:, None] == self._thresholds)
-                ).any(axis=1)
-                if duplicate.any():
-                    fresh_features = fresh_features[~duplicate]
-                    fresh_thresholds = fresh_thresholds[~duplicate]
-        else:
-            features: list[int] = []
-            thresholds: list[float] = []
-            for feature, values in self.propose_thresholds(X).items():
-                for value in values:
-                    if (feature, float(value)) in self._key_index:
-                        continue
-                    features.append(feature)
-                    thresholds.append(float(value))
-            fresh_features = np.array(features, dtype=np.intp)
-            fresh_thresholds = np.array(thresholds, dtype=float)
+        fresh_features, fresh_thresholds = self._unstored_proposals(X)
         if not len(fresh_features):
             return None
         masks = X[:, fresh_features] <= fresh_thresholds
@@ -653,24 +515,29 @@ class CandidateManager:
         fresh_thresholds = fresh_thresholds[informative]
         masks = masks[:, informative]
         counts = counts[informative]
-        if self.vectorized:
-            sums = np.einsum("nk,np->kp", masks.astype(float), augmented)
-            gradients = sums[:, :-1]
-            losses = sums[:, -1]
-        else:
-            losses = np.zeros(len(fresh_features))
-            gradients = np.zeros((len(fresh_features), augmented.shape[1] - 1))
-            for index in range(len(fresh_features)):
-                sums = augmented[masks[:, index]].sum(axis=0)
-                losses[index] = sums[-1]
-                gradients[index] = sums[:-1]
+        sums = self._masked_sums(masks, augmented)
         return (
             fresh_features,
             fresh_thresholds,
-            losses,
-            gradients,
+            sums[:, -1],
+            sums[:, :-1],
             counts.astype(float),
         )
+
+    def _unstored_proposals(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's proposed ``(features, thresholds)`` not yet stored."""
+        features, thresholds = self._propose_concat(X)
+        if len(self._features):
+            # Exact (feature, threshold) matches, the same comparison the
+            # key-dict lookup performs.
+            duplicate = (
+                (features[:, None] == self._features)
+                & (thresholds[:, None] == self._thresholds)
+            ).any(axis=1)
+            if duplicate.any():
+                features = features[~duplicate]
+                thresholds = thresholds[~duplicate]
+        return features, thresholds
 
     def _stored_gains(
         self,
@@ -680,30 +547,45 @@ class CandidateManager:
         learning_rate: float,
         reference_loss: float | None,
     ) -> np.ndarray:
-        """Gains of every stored candidate (vectorized sweep or reference)."""
-        if self.vectorized:
-            return candidate_gain_sweep(
-                self._losses,
-                self._gradients,
-                self._counts,
-                node_loss=node_loss,
-                node_gradient=node_gradient,
-                node_count=node_count,
-                learning_rate=learning_rate,
-                reference_loss=reference_loss,
-                assume_counts_positive=True,
-            )
-        return np.array(
-            [
-                self._materialize(index).gain(
-                    node_loss=node_loss,
-                    node_gradient=node_gradient,
-                    node_count=node_count,
-                    learning_rate=learning_rate,
-                    reference_loss=reference_loss,
-                )
-                for index in range(len(self._features))
-            ]
+        """Gains of every stored candidate."""
+        return self._gains(
+            self._losses,
+            self._gradients,
+            self._counts,
+            node_loss,
+            node_gradient,
+            node_count,
+            learning_rate,
+            reference_loss,
+        )
+
+    @staticmethod
+    def _gains(
+        losses: np.ndarray,
+        gradients: np.ndarray,
+        counts: np.ndarray,
+        node_loss: float,
+        node_gradient: np.ndarray,
+        node_count: float,
+        learning_rate: float,
+        reference_loss: float | None = None,
+    ) -> np.ndarray:
+        """Gains of candidates with the given left-partition statistics.
+
+        Stored and fresh candidates always have observations (candidates are
+        only admitted with some and counts never decrease), so the sweep
+        skips its empty-subset guard on the left child.
+        """
+        return candidate_gain_sweep(
+            losses,
+            gradients,
+            counts,
+            node_loss=node_loss,
+            node_gradient=node_gradient,
+            node_count=node_count,
+            learning_rate=learning_rate,
+            reference_loss=reference_loss,
+            assume_counts_positive=True,
         )
 
     # ---------------------------------------------------------------- query
@@ -718,8 +600,8 @@ class CandidateManager:
     ) -> tuple[CandidateStatistics | None, float]:
         """Return the stored candidate with the highest gain and its gain.
 
-        Ties keep the first-inserted candidate, matching the strict ``>``
-        comparison of the per-candidate reference loop.
+        Ties keep the first-inserted candidate, as a per-candidate loop with
+        a strict ``>`` comparison would.
         """
         if not len(self._features):
             return None, -np.inf
@@ -734,8 +616,8 @@ class CandidateManager:
                 gains[index] = -np.inf
         best = int(np.argmax(gains))
         if np.isnan(gains[best]):
-            # argmax lands on a NaN whenever one exists; NaN never beats a
-            # finite gain in the scalar reference, so retry with NaNs masked.
+            # argmax lands on a NaN whenever one exists; a NaN gain must never
+            # beat a finite one, so retry with NaNs masked.
             gains = np.where(np.isnan(gains), -np.inf, gains)
             best = int(np.argmax(gains))
         if gains[best] == -np.inf:

@@ -50,8 +50,8 @@ def approximate_candidate_loss(
         return float(parent_loss_on_subset)
     gradient_on_subset = np.asarray(gradient_on_subset, dtype=float)
     # einsum (sequential accumulation) instead of a BLAS dot so this scalar
-    # reference stays bit-identical to the vectorized candidate gain sweep,
-    # whose row-wise norms use the same einsum loop order.
+    # form stays bit-identical to the candidate gain sweep, whose row-wise
+    # norms use the same einsum loop order.
     grad_norm_sq = float(
         np.einsum("i,i->", gradient_on_subset, gradient_on_subset)
     )

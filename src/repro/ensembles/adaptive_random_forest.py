@@ -21,7 +21,6 @@ from repro.telemetry import ENSEMBLE_MEMBER_DRIFT, TELEMETRY
 from repro.ensembles.bagging import (
     accumulate_member_votes,
     detector_saw_mean_increase,
-    make_default_member,
 )
 from repro.trees.vfdt import HoeffdingTreeClassifier
 from repro.utils.validation import check_positive, check_random_state
@@ -71,13 +70,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         Confidence levels of the per-tree ADWIN warning and drift detectors.
     random_state:
         Seed controlling feature subspaces and Poisson draws.
-    vectorized:
-        Whether batched resampling, detector feeds and vote alignment are
-        used (the default) or the per-row reference loops.  Bit-identical.
     """
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -88,7 +81,6 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         warning_delta: float = 0.01,
         drift_delta: float = 0.001,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
@@ -105,7 +97,6 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         self.warning_delta = float(warning_delta)
         self.drift_delta = float(drift_delta)
         self.random_state = random_state
-        self.vectorized = bool(vectorized)
         self._rng = check_random_state(random_state)
         self.members_: list[_ForestMember] = []
         self.n_warnings = 0
@@ -148,13 +139,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
         if not self.members_:
             self._init_members()
 
-        if self.vectorized:
-            # One generator call for the whole batch: numpy fills the matrix
-            # in the same draw order as the per-member calls below, and the
-            # detector updates between the draws consume no randomness.
-            weight_matrix = self._rng.poisson(
-                self.poisson_lambda, size=(self.n_estimators, len(X))
-            )
+        weight_matrix = self._batch_weights(len(X))
         for member_idx, member in enumerate(self.members_):
             X_sub = X[:, member.feature_indices]
 
@@ -165,23 +150,8 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
             if member.tree.classes_ is not None:
                 predictions = member.tree.predict(X_sub)
                 errors = (predictions != y).astype(float)
-                if self.vectorized:
-                    warning = detector_saw_mean_increase(
-                        member.warning_detector, errors
-                    )
-                    drift = detector_saw_mean_increase(
-                        member.drift_detector, errors
-                    )
-                else:
-                    warning = False
-                    drift = False
-                    for error in errors:
-                        before = member.warning_detector.mean
-                        if member.warning_detector.update(error):
-                            warning = warning or member.warning_detector.mean > before
-                        before = member.drift_detector.mean
-                        if member.drift_detector.update(error):
-                            drift = drift or member.drift_detector.mean > before
+                warning = detector_saw_mean_increase(member.warning_detector, errors)
+                drift = detector_saw_mean_increase(member.drift_detector, errors)
                 if warning and member.background_tree is None:
                     member.background_tree = self._make_estimator()
                     self.n_warnings += 1
@@ -207,10 +177,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
                         ).inc()
 
             # Online bagging update of the foreground (and background) tree.
-            if self.vectorized:
-                weights = weight_matrix[member_idx]
-            else:
-                weights = self._rng.poisson(self.poisson_lambda, size=len(X))
+            weights = weight_matrix[member_idx]
             mask = weights > 0
             if not np.any(mask):
                 continue
@@ -221,8 +188,17 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
                 member.background_tree.partial_fit(X_rep, y_rep, classes=self.classes_)
         return self
 
+    def _batch_weights(self, n: int) -> np.ndarray:
+        """Poisson weights of the whole batch, shape ``(n_estimators, n)``.
+
+        One generator call fills the matrix in the same order as one call
+        per member would; the detector updates between members consume no
+        randomness, so drawing up front leaves the random stream unchanged.
+        """
+        return self._rng.poisson(self.poisson_lambda, size=(self.n_estimators, n))
+
     def _make_estimator(self) -> StreamClassifier:
-        return make_default_member(self.base_estimator_factory, self.vectorized)
+        return self.base_estimator_factory()
 
     # ------------------------------------------------------------ inference
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -234,9 +210,7 @@ class AdaptiveRandomForestClassifier(StreamClassifier):
             if member.tree.classes_ is None:
                 continue
             proba = member.tree.predict_proba(X[:, member.feature_indices])
-            accumulate_member_votes(
-                votes, proba, member.tree.classes_, self.classes_, self.vectorized
-            )
+            accumulate_member_votes(votes, proba, member.tree.classes_, self.classes_)
         row_sums = votes.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0
         return votes / row_sums

@@ -63,15 +63,7 @@ class IncrementalGLM:
         Standard deviation of the Gaussian weight initialisation.  The paper
         notes that random initial weights mainly affect the root node because
         all other nodes are warm-started from their parent.
-    vectorized:
-        Whether :meth:`fit_incremental` uses the fast per-observation SGD
-        path (hoisted augmentation, scalar sigmoid-dot for the binary model)
-        or the per-row reference loop.  Both are bit-equivalent; the
-        reference path exists for verification and benchmarking.
     """
-
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
 
     def __init__(
         self,
@@ -80,7 +72,6 @@ class IncrementalGLM:
         learning_rate: float = 0.05,
         rng=None,
         init_scale: float = 0.01,
-        vectorized: bool = True,
     ) -> None:
         if n_features < 1:
             raise ValueError(f"n_features must be >= 1, got {n_features}.")
@@ -91,7 +82,6 @@ class IncrementalGLM:
         self.n_classes = int(n_classes)
         self.learning_rate = float(learning_rate)
         self.init_scale = float(init_scale)
-        self.vectorized = bool(vectorized)
         generator = check_random_state(rng)
         self.weights = generator.normal(
             0.0, self.init_scale, size=self._weight_shape()
@@ -117,13 +107,12 @@ class IncrementalGLM:
         weights from ``rng``; pass a seed or generator to make the cold
         start reproducible (an unseeded generator is used otherwise).
         """
-        copy = IncrementalGLM(
+        copy = type(self)(
             n_features=self.n_features,
             n_classes=self.n_classes,
             learning_rate=self.learning_rate,
             rng=rng,
             init_scale=self.init_scale,
-            vectorized=self.vectorized,
         )
         if warm_start:
             copy.weights = self.weights.copy()
@@ -276,45 +265,26 @@ class IncrementalGLM:
         weights.  Equivalent to :meth:`update` for a batch of size one.
         ``X_aug`` optionally supplies a precomputed :meth:`augment` of the
         batch so callers that already augmented it (the DMT node update)
-        avoid a second pass; only the fast path uses it.
+        avoid a second pass.
+
+        The intercept augmentation is hoisted out of the loop and each step
+        works on the augmented row directly: a scalar sigmoid-dot for the
+        binary model, one matrix-vector score per row for the multiclass
+        model.  Operation order and grouping mirror one full
+        :meth:`gradient` call per row exactly, so the weight trace matches
+        that loop bit for bit.
         """
         X = self._coerce_batch(X)
         if X is None:
             return self
         y = np.asarray(y, dtype=int)
-        if self.vectorized:
-            return self._fit_incremental_fast(X, y, X_aug)
-        return self._fit_incremental_reference(X, y)
-
-    def _fit_incremental_reference(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> "IncrementalGLM":
-        """Reference implementation: one full gradient call per observation."""
-        for row in range(len(X)):
-            grad = self.gradient(X[row : row + 1], y[row : row + 1])
-            self.weights = self.weights - self.learning_rate * grad.reshape(
-                self._weight_shape()
-            )
-        return self
-
-    def _fit_incremental_fast(
-        self, X: np.ndarray, y: np.ndarray, X_aug: np.ndarray | None = None
-    ) -> "IncrementalGLM":
-        """Fast per-observation SGD, bit-identical to the reference loop.
-
-        The intercept augmentation is hoisted out of the loop and each step
-        works on the augmented row directly: a scalar sigmoid-dot for the
-        binary model, one matrix-vector score per row for the multiclass
-        model.  Operation order and grouping mirror the reference loop
-        exactly so the weight trace matches bit for bit.
-        """
         X_aug = self.augment(X) if X_aug is None else X_aug
         learning_rate = self.learning_rate
         if self.n_classes == 2:
             # In-place updates on a private copy with one reusable step
             # buffer: multiplication is commutative and in-place subtraction
             # performs the same IEEE operation, so the weight trace matches
-            # the out-of-place reference bit for bit with zero per-row
+            # out-of-place updates bit for bit with zero per-row
             # allocations.
             weights = self.weights.copy()
             step = np.empty_like(weights)

@@ -25,9 +25,6 @@ class GaussianNaiveBayes:
         when a class has seen constant feature values.
     """
 
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
-
     def __init__(
         self, n_features: int, n_classes: int, var_smoothing: float = 1e-6
     ) -> None:
@@ -85,30 +82,24 @@ class GaussianNaiveBayes:
         log_prior = np.log(
             np.maximum(self.class_counts, 1e-12) / max(self.total_count, 1e-12)
         )
-        variances = self._variances()
-        # log N(x | mean, var) per class, summed over features.  The
-        # broadcast over a (n, n_classes, n_features) stack reduces each
-        # (row, class) pair over the same contiguous feature axis as the
-        # per-class reference loop, so the two are bit-identical.
-        if self.vectorized:
-            diff = X[:, None, :] - self._means[None, :, :]
-            log_likelihood = -0.5 * np.sum(
-                np.log(2.0 * np.pi * variances)[None, :, :]
-                + diff**2 / variances[None, :, :],
-                axis=2,
-            )
-        else:
-            log_likelihood = np.empty((len(X), self.n_classes))
-            for class_idx in range(self.n_classes):
-                diff = X - self._means[class_idx]
-                var = variances[class_idx]
-                log_likelihood[:, class_idx] = -0.5 * np.sum(
-                    np.log(2.0 * np.pi * var) + diff**2 / var, axis=1
-                )
-        log_joint = log_prior + log_likelihood
+        log_joint = log_prior + self._log_likelihood(X, self._variances())
         log_joint -= log_joint.max(axis=1, keepdims=True)
         proba = np.exp(log_joint)
         return proba / proba.sum(axis=1, keepdims=True)
+
+    def _log_likelihood(self, X: np.ndarray, variances: np.ndarray) -> np.ndarray:
+        """``log N(x | mean, var)`` per row and class, summed over features.
+
+        The broadcast over a ``(n, n_classes, n_features)`` stack reduces
+        each (row, class) pair over the same contiguous feature axis as a
+        per-class loop would, so the two are bit-identical.
+        """
+        diff = X[:, None, :] - self._means[None, :, :]
+        return -0.5 * np.sum(
+            np.log(2.0 * np.pi * variances)[None, :, :]
+            + diff**2 / variances[None, :, :],
+            axis=2,
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Return the index of the most likely class for every row."""

@@ -28,6 +28,10 @@ tagged dictionaries (``{"__repro__": <kind>, ...}``):
 Anything else (open files, lambdas, arbitrary callables) raises
 :class:`SerializationError` naming the offending attribute path.
 
+Files written by earlier releases decode through
+:mod:`repro.persistence.migrations`, which maps retired classes and
+attributes onto the current layout.
+
 Classes may declare a ``_repro_transient`` tuple of attribute names that are
 pure caches: the encoder skips them and the decoder rebuilds them by calling
 the instance's ``_init_transient()`` after all persisted attributes are set
@@ -40,6 +44,11 @@ import base64
 
 import numpy as np
 
+from repro.persistence.migrations import (
+    RETIRED_ATTRIBUTES,
+    RETIRED_CLASSES,
+    upgrade_attributes,
+)
 from repro.persistence.registry import registered_name, resolve
 
 #: Tag key marking an encoded non-JSON value.
@@ -254,12 +263,25 @@ class Decoder:
             ) from None
 
     def _decode_object(self, data: dict[str, object]) -> object:
-        cls = resolve(data["class"])
+        name = data["class"]
+        state = data["state"]
+        if name in RETIRED_CLASSES:
+            # A class that left the package: its attributes, as a plain dict
+            # for the migration of the object that holds it.
+            record: dict[str, object] = {}
+            self._memo[data["id"]] = record
+            for attr, value in state.items():
+                record[attr] = self.decode(value)
+            return record
+        cls = resolve(name)
         obj = cls.__new__(cls)
         # Memoise before decoding attributes so cyclic references resolve.
         self._memo[data["id"]] = obj
-        for attr, value in data["state"].items():
-            setattr(obj, attr, self.decode(value))
+        attrs = {attr: self.decode(value) for attr, value in state.items()}
+        if not RETIRED_ATTRIBUTES.isdisjoint(attrs):
+            upgrade_attributes(attrs)
+        for attr, value in attrs.items():
+            setattr(obj, attr, value)
         # Classes declaring transient attributes (pure caches skipped by the
         # encoder) rebuild them here so the decoded object is fully usable.
         if getattr(type(obj), "_repro_transient", ()) and hasattr(

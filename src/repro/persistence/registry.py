@@ -119,13 +119,7 @@ def ensure_default_registrations() -> None:
         AdaSplitNode,
         HoeffdingAdaptiveTreeClassifier,
     )
-    from repro.trees.observers import (
-        GaussianAttributeObserver,
-        GaussianEstimator,
-        LeafObservers,
-        NominalAttributeObserver,
-        SplitSuggestion,
-    )
+    from repro.trees.observers import LeafObservers, SplitSuggestion
     from repro.trees.vfdt import HoeffdingTreeClassifier
     from repro.serving.service import ScoringStats, ScoringStatsArchive
     from repro.telemetry.metrics import Counter, Gauge, Histogram
@@ -183,10 +177,7 @@ def ensure_default_registrations() -> None:
         FIMTLeaf,
         FIMTSplitNode,
         SplitSuggestion,
-        GaussianEstimator,
-        GaussianAttributeObserver,
         LeafObservers,
-        NominalAttributeObserver,
         InfoGainCriterion,
         GiniCriterion,
         VarianceReductionCriterion,

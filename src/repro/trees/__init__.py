@@ -3,8 +3,8 @@
 Contains the Hoeffding-tree family evaluated by the paper -- VFDT with
 majority-class and Naive-Bayes-adaptive leaves, the Hoeffding Adaptive Tree
 (HT-Ada) and the Extremely Fast Decision Tree (EFDT) -- plus the FIMT-DD
-model tree adapted to classification, and the attribute observers / split
-criteria they are built on.
+model tree adapted to classification, and the attribute observer store /
+split criteria they are built on.
 """
 
 from repro.trees.vfdt import HoeffdingTreeClassifier
@@ -17,11 +17,7 @@ from repro.trees.criteria import (
     GiniCriterion,
     VarianceReductionCriterion,
 )
-from repro.trees.observers import (
-    GaussianAttributeObserver,
-    NominalAttributeObserver,
-    SplitSuggestion,
-)
+from repro.trees.observers import LeafObservers, SplitSuggestion
 
 __all__ = [
     "HoeffdingTreeClassifier",
@@ -32,7 +28,6 @@ __all__ = [
     "InfoGainCriterion",
     "GiniCriterion",
     "VarianceReductionCriterion",
-    "GaussianAttributeObserver",
-    "NominalAttributeObserver",
+    "LeafObservers",
     "SplitSuggestion",
 ]

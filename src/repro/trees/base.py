@@ -8,10 +8,10 @@ prune.
 
 Leaves store their attribute statistics in one structure-of-arrays
 :class:`~repro.trees.observers.LeafObservers` store and support both
-per-observation (reference) and bulk (vectorized) updates; the two are
-bit-identical.  Batches are routed to the leaves with one partition per
-split node (:func:`route_batch_groups`) instead of one root-to-leaf descent
-per row, mirroring ``DMTNode.route_batch``.
+per-observation and bulk updates; the two are bit-identical.  Batches are
+routed to the leaves with one partition per split node
+(:func:`route_batch_groups`) instead of one root-to-leaf descent per row,
+mirroring ``DMTNode.route_batch``.
 """
 
 from __future__ import annotations
@@ -112,20 +112,6 @@ class LeafNode:
     def observers(self) -> LeafObservers:
         return self._observers
 
-    @observers.setter
-    def observers(self, value) -> None:
-        # Models persisted before the structure-of-arrays layout stored a
-        # dict of per-feature observer objects under this attribute; the
-        # codec restores attributes verbatim, so migrate here.
-        if isinstance(value, dict):
-            value = LeafObservers.from_legacy(
-                n_features=self.n_features,
-                n_split_points=self.n_split_points,
-                nominal_features=self.nominal_features,
-                legacy=value,
-            )
-        self._observers = value
-
     # ------------------------------------------------------------ statistics
     @property
     def total_weight(self) -> float:
@@ -179,7 +165,7 @@ class LeafNode:
 
         Class counts accumulate sequentially (post-split leaves start from
         fractional distributions, where one bulk addition would round
-        differently from the reference's unit increments), the observer
+        differently from per-row unit increments), the observer
         store preserves the per-cell Welford order and the Naive Bayes
         update is itself a sequential row loop.
         """
@@ -241,16 +227,14 @@ class LeafNode:
 
     # ---------------------------------------------------------------- split
     def best_split_suggestions(
-        self, criterion: SplitCriterion, vectorized: bool = True
+        self, criterion: SplitCriterion
     ) -> list[SplitSuggestion]:
         """Best suggestion per feature plus the null (do-not-split) suggestion."""
         suggestions = [
             SplitSuggestion(feature=-1, threshold=0.0, merit=0.0)  # null split
         ]
         suggestions.extend(
-            self._observers.best_split_suggestions(
-                criterion, self.class_dist, vectorized=vectorized
-            )
+            self._observers.best_split_suggestions(criterion, self.class_dist)
         )
         return suggestions
 
@@ -318,7 +302,7 @@ def route_batch_groups(
 
     Instead of walking the tree once per row, the batch is partitioned with a
     boolean mask at every split node on the way down, so each observation is
-    touched once per tree level with vectorized comparisons (the recipe of
+    touched once per tree level with array comparisons (the recipe of
     ``DMTNode.route_batch_groups``).  Returns ``(node, rows)`` pairs covering
     every requested row exactly once, where ``node`` is a leaf -- or a split
     node with a missing child, which callers handle like the per-row loops

@@ -59,7 +59,6 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         max_depth: int | None = None,
         nominal_features: set[int] | None = None,
         reevaluation_period: int = 1000,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             grace_period=grace_period,
@@ -70,7 +69,6 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
             n_split_points=n_split_points,
             max_depth=max_depth,
             nominal_features=nominal_features,
-            vectorized=vectorized,
         )
         if reevaluation_period < 1:
             raise ValueError(
@@ -87,13 +85,13 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         return self
 
     # ---------------------------------------------------------------- learn
-    def _partial_fit_vectorized(self, X: np.ndarray, y_idx: np.ndarray) -> None:
+    def _fit_batch(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         """EFDT keeps inner-node statistics alive along every root-to-leaf
         path, so each row updates ``O(depth)`` learning leaves and training
-        cannot be chunked the way the plain VFDT is.  The vectorized flag
-        still pays off: the split/re-evaluation sweeps (the dominant cost,
-        re-run every ``reevaluation_period`` rows at *every* inner node) and
-        batched inference use the structure-of-arrays kernels."""
+        cannot be chunked the way the plain VFDT is.  The split/re-evaluation
+        sweeps (the dominant cost, re-run every ``reevaluation_period`` rows
+        at *every* inner node) and batched inference still use the
+        structure-of-arrays kernels."""
         for row in range(len(X)):
             self._learn_one(X[row], int(y_idx[row]))
 
@@ -152,9 +150,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         self, leaf: LeafNode, parent: SplitNode | None, branch: int
     ) -> "EFDTSplitNode | None":
         """EFDT splits as soon as the best attribute beats *not splitting*."""
-        suggestions = leaf.best_split_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = leaf.best_split_suggestions(self._criterion)
         real = [s for s in suggestions if s.feature != -1]
         if not real:
             return None
@@ -178,7 +174,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         branch: int,
     ) -> "EFDTSplitNode":
         stats = self._new_leaf(depth=leaf.depth, initial_dist=leaf.class_dist)
-        stats.observers = leaf.observers
+        stats._observers = leaf.observers
         new_split = EFDTSplitNode(
             stats,
             feature=suggestion.feature,
@@ -223,9 +219,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         Returns ``True`` when the node was replaced.
         """
         self.n_reevaluations += 1
-        suggestions = node.stats.best_split_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = node.stats.best_split_suggestions(self._criterion)
         real = [s for s in suggestions if s.feature != -1]
         if not real:
             return False
@@ -246,7 +240,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
             demoted = self._new_leaf(
                 depth=node.depth, initial_dist=node.stats.class_dist
             )
-            demoted.observers = node.stats.observers
+            demoted._observers = node.stats.observers
             self._replace_child(parent, branch, demoted)
             self.n_subtree_prunes += 1
             if TELEMETRY.enabled:
@@ -270,7 +264,7 @@ class ExtremelyFastDecisionTreeClassifier(HoeffdingTreeClassifier):
         branch: int,
     ) -> None:
         stats = self._new_leaf(depth=node.depth, initial_dist=node.stats.class_dist)
-        stats.observers = node.stats.observers
+        stats._observers = node.stats.observers
         new_split = EFDTSplitNode(
             stats,
             feature=suggestion.feature,

@@ -69,29 +69,15 @@ class FIMTLeaf:
     def observers(self) -> LeafObservers:
         return self._observers
 
-    @observers.setter
-    def observers(self, value) -> None:
-        # Pre-refactor payloads stored a dict of per-feature observers.
-        if isinstance(value, dict):
-            value = LeafObservers.from_legacy(
-                n_features=self.n_features,
-                n_split_points=self.n_split_points,
-                nominal_features=None,
-                legacy=value,
-            )
-        self._observers = value
-
     def learn_one(self, x: np.ndarray, y_idx: int) -> None:
         self.total_weight += 1.0
         self._observers.update_row(x.tolist(), y_idx)
         self.model.update(x.reshape(1, -1), np.array([y_idx]))
 
     def best_sdr_suggestions(
-        self, criterion: VarianceReductionCriterion, vectorized: bool = True
+        self, criterion: VarianceReductionCriterion
     ) -> list[SplitSuggestion]:
-        return self._observers.best_sdr_suggestions(
-            criterion, vectorized=vectorized
-        )
+        return self._observers.best_sdr_suggestions(criterion)
 
 
 class FIMTSplitNode:
@@ -144,16 +130,11 @@ class FIMTDDClassifier(StreamClassifier):
         Optional depth limit.
     random_state:
         Seed for the leaf-model initialisation.
-    vectorized:
-        Whether SDR split sweeps and inference use the batched kernels (the
-        default) or the per-threshold / per-row reference loops.  Training
-        statistics are identical either way; batched inference scores each
-        leaf's rows with one matrix operation, which may differ from the
-        per-row loop in the last ulp (BLAS blocking).
-    """
 
-    #: Class-level fallback so payloads written before the flag existed load.
-    vectorized = True
+    Inference scores each leaf's rows with one matrix operation, which may
+    differ from a per-row loop in the last ulp (BLAS blocks the batched
+    matmul differently).
+    """
 
     def __init__(
         self,
@@ -166,7 +147,6 @@ class FIMTDDClassifier(StreamClassifier):
         ph_threshold: float = 50.0,
         max_depth: int | None = None,
         random_state: int | None = None,
-        vectorized: bool = True,
     ) -> None:
         super().__init__()
         check_positive(learning_rate, "learning_rate")
@@ -182,7 +162,6 @@ class FIMTDDClassifier(StreamClassifier):
         self.ph_threshold = float(ph_threshold)
         self.max_depth = max_depth
         self.random_state = random_state
-        self.vectorized = bool(vectorized)
         self._rng = check_random_state(random_state)
         self._criterion = VarianceReductionCriterion()
         self.root: FIMTLeaf | FIMTSplitNode | None = None
@@ -308,9 +287,7 @@ class FIMTDDClassifier(StreamClassifier):
     def _attempt_split(
         self, leaf: FIMTLeaf, parent: FIMTSplitNode | None, branch: int
     ) -> None:
-        suggestions = leaf.best_sdr_suggestions(
-            self._criterion, vectorized=self.vectorized
-        )
+        suggestions = leaf.best_sdr_suggestions(self._criterion)
         suggestions = [s for s in suggestions if np.isfinite(s.merit) and s.merit > 0]
         if not suggestions:
             return
@@ -364,8 +341,6 @@ class FIMTDDClassifier(StreamClassifier):
         X, _ = self._validate_input(X)
         if self.root is None or self.classes_ is None:
             raise RuntimeError("predict_proba() called before partial_fit().")
-        if not self.vectorized:
-            return self._predict_proba_per_row(X)
         proba = np.zeros((len(X), self.n_classes_))
         # One partition per split node, one model evaluation per leaf.
         stack: list[tuple[FIMTLeaf | FIMTSplitNode, np.ndarray]] = [
@@ -386,25 +361,6 @@ class FIMTDDClassifier(StreamClassifier):
                 continue
             leaf_proba = node.model.predict_proba(X[rows])
             proba[rows] = leaf_proba[:, : self.n_classes_]
-        row_sums = proba.sum(axis=1, keepdims=True)
-        row_sums[row_sums == 0.0] = 1.0
-        return proba / row_sums
-
-    def _predict_proba_per_row(self, X: np.ndarray) -> np.ndarray:
-        """Reference inference: one root-to-leaf walk and one model
-        evaluation per row.  May differ from the batched path in the last
-        ulp (BLAS blocks the batched matmul differently)."""
-        proba = np.zeros((len(X), self.n_classes_))
-        for row, x in enumerate(X):
-            node = self.root
-            while isinstance(node, FIMTSplitNode):
-                child = node.child_for(x)
-                if child is None:
-                    child = self._new_leaf(depth=node.depth + 1)
-                    node.children[node.branch_for(x)] = child
-                node = child
-            leaf_proba = node.model.predict_proba(x.reshape(1, -1))[0]
-            proba[row] = leaf_proba[: self.n_classes_]
         row_sums = proba.sum(axis=1, keepdims=True)
         row_sums[row_sums == 0.0] = 1.0
         return proba / row_sums

@@ -9,13 +9,14 @@ majority voting.
 
 ADWIN updates are inherently sequential (every error depends on the leaf
 statistics accumulated from the rows before it), so HT-Ada cannot learn a
-batch with one kernel the way the plain VFDT does.  The vectorized path
-instead removes the per-row tree work: batches are routed once per split
-node (the root-to-leaf paths are cached until the structure changes) and the
-per-row subtree predictions -- which the reference recomputes at *every*
-node of the path, an ``O(depth^2)`` walk -- collapse to a single leaf
-evaluation, because every main-path node predicts through the same leaf.
-Both paths are bit-identical.
+batch with one kernel the way the plain VFDT does.  Training instead removes
+the per-row tree work: batches are routed once per split node (the
+root-to-leaf paths are cached until the structure changes) and the per-row
+subtree predictions -- which a per-row recursion (:meth:`_learn_one`)
+recomputes at *every* node of the path, an ``O(depth^2)`` walk -- collapse
+to a single leaf evaluation, because every main-path node predicts through
+the same leaf.  Both are bit-identical; the recursion remains the fallback
+for Naive Bayes leaves.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         Minimum number of observations an alternate subtree must see before
         it may replace (or be discarded in favour of) the original branch.
     grace_period, split_confidence, tie_threshold, leaf_prediction,
-    split_criterion, n_split_points, max_depth, nominal_features, vectorized:
+    split_criterion, n_split_points, max_depth, nominal_features:
         As in :class:`~repro.trees.vfdt.HoeffdingTreeClassifier`.
     """
 
@@ -90,7 +91,6 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         nominal_features: set[int] | None = None,
         adwin_delta: float = 0.002,
         alternate_min_weight: int = 150,
-        vectorized: bool = True,
     ) -> None:
         super().__init__(
             grace_period=grace_period,
@@ -101,7 +101,6 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
             n_split_points=n_split_points,
             max_depth=max_depth,
             nominal_features=nominal_features,
-            vectorized=vectorized,
         )
         self.adwin_delta = float(adwin_delta)
         self.alternate_min_weight = int(alternate_min_weight)
@@ -249,8 +248,8 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
             node.children[child_branch] = child
         self._learn_in_subtree(child, x, y_idx, parent=node, branch=child_branch)
 
-    # ---------------------------------------------------- vectorized fitting
-    def _partial_fit_vectorized(self, X: np.ndarray, y_idx: np.ndarray) -> None:
+    # ------------------------------------------------------- batch fitting
+    def _fit_batch(self, X: np.ndarray, y_idx: np.ndarray) -> None:
         """Cached-routing training loop, bit-identical to the recursion.
 
         Rows are still consumed one at a time (the ADWIN error signals are
@@ -258,11 +257,11 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
         for the whole remaining batch in one partition sweep and reused until
         a split or subtree swap changes the structure.  Every main-path node
         predicts through the same leaf, so the per-node subtree predictions
-        of the reference collapse to one leaf evaluation per row.
+        of the recursion collapse to one leaf evaluation per row.
         """
         if self.leaf_prediction != "mc":
             # Naive Bayes leaf predictors interleave per-row model updates
-            # with per-row predictions; use the reference recursion.
+            # with per-row predictions; use the recursion.
             for row in range(len(X)):
                 self._learn_one(X[row], int(y_idx[row]))
             return
@@ -308,7 +307,7 @@ class HoeffdingAdaptiveTreeClassifier(HoeffdingTreeClassifier):
                         leaf_entries.append((node, list(path), parent, branch))
                 if bail_out:
                     # A missing child means the per-row walk would predict
-                    # from the split node itself; defer to the reference.
+                    # from the split node itself; defer to the recursion.
                     for row in range(start, n):
                         self._learn_one(X[row], int(y_idx[row]))
                     return

@@ -6,17 +6,13 @@ use a per-class Gaussian estimator (the standard VFDT approach); nominal
 features use per-value class counts.  The paper restricts all trees to binary
 splits, so both observers only emit binary suggestions.
 
-Since the baseline vectorization, each leaf keeps *one*
-:class:`LeafObservers` store in structure-of-arrays form (per-class rows of
-Welford weight/mean/M2 triplets covering every feature at once) instead of a
-dict of per-feature observer objects.  The store exposes two equivalent
-query paths: a vectorized sweep that scores all candidate thresholds of all
-features in a handful of array operations, and a reference path that
-materialises the classic per-feature observers
-(:class:`GaussianAttributeObserver` / :class:`NominalAttributeObserver`) and
-runs their original per-threshold loops.  Both paths are bit-identical; the
-legacy classes also remain the decode target for models persisted before the
-structure-of-arrays layout.
+Each leaf keeps *one* :class:`LeafObservers` store in structure-of-arrays
+form (per-class rows of Welford weight/mean/M2 triplets covering every
+feature at once) rather than one observer object per feature.  Split queries
+score all candidate thresholds of all features in a handful of array
+operations, bit-identical to the classic per-feature, per-threshold observer
+loops (kept as test oracles in ``tests/oracles``).  Models persisted with
+per-feature observers load through :mod:`repro.persistence.migrations`.
 """
 
 from __future__ import annotations
@@ -45,55 +41,12 @@ class SplitSuggestion:
         return value <= self.threshold
 
 
-class GaussianEstimator:
-    """Incremental univariate Gaussian with Welford moment updates."""
-
-    __slots__ = ("weight", "mean", "_m2")
-
-    def __init__(self) -> None:
-        self.weight = 0.0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float, weight: float = 1.0) -> None:
-        if weight <= 0:
-            return
-        self.weight += weight
-        delta = value - self.mean
-        self.mean += weight * delta / self.weight
-        self._m2 += weight * delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        if self.weight <= 1.0:
-            return 0.0
-        return max(self._m2 / (self.weight - 1.0), 0.0)
-
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
-    def cdf(self, value: float) -> float:
-        """Probability mass of the Gaussian at or below ``value``."""
-        if self.weight == 0:
-            return 0.0
-        std = self.std
-        if std == 0.0:
-            return 1.0 if value >= self.mean else 0.0
-        z = (value - self.mean) / (std * np.sqrt(2.0))
-        return float(0.5 * (1.0 + _erf(z)))
-
-    def weight_below(self, value: float) -> float:
-        """Estimated weight of observations with values at or below ``value``."""
-        return self.weight * self.cdf(value)
-
-
 def _erf_vec(z):
     """Error function via Abramowitz-Stegun approximation (vector-safe).
 
     Works elementwise on arrays and scalars; numpy's ufuncs produce the same
     bits for an array element as for the equivalent scalar call, so the
-    vectorized sweeps and the scalar reference path share this one function.
+    threshold sweeps match a per-threshold scalar evaluation bit for bit.
     """
     sign = np.sign(z)
     z = abs(z)
@@ -105,217 +58,21 @@ def _erf_vec(z):
     return sign * (1.0 - poly * np.exp(-z * z))
 
 
-def _erf(z: float) -> float:
-    """Scalar error function (see :func:`_erf_vec`)."""
-    return float(_erf_vec(z))
-
-
-class GaussianAttributeObserver:
-    """Per-class Gaussian observer for one numeric feature.
-
-    Parameters
-    ----------
-    n_split_points:
-        Number of candidate thresholds evaluated between the observed minimum
-        and maximum of the feature (the VFDT default of 10 is used throughout
-        the paper's baselines).
-    """
-
-    def __init__(self, n_split_points: int = 10) -> None:
-        if n_split_points < 1:
-            raise ValueError(
-                f"n_split_points must be >= 1, got {n_split_points!r}."
-            )
-        self.n_split_points = int(n_split_points)
-        self._per_class: dict[int, GaussianEstimator] = {}
-        self._min_value = np.inf
-        self._max_value = -np.inf
-
-    @property
-    def total_weight(self) -> float:
-        return float(sum(est.weight for est in self._per_class.values()))
-
-    def update(self, value: float, class_idx: int, weight: float = 1.0) -> None:
-        estimator = self._per_class.setdefault(int(class_idx), GaussianEstimator())
-        estimator.update(float(value), weight)
-        self._min_value = min(self._min_value, float(value))
-        self._max_value = max(self._max_value, float(value))
-
-    # ----------------------------------------------------- classification
-    def _candidate_thresholds(self) -> np.ndarray:
-        if not np.isfinite(self._min_value) or self._max_value <= self._min_value:
-            return np.array([])
-        return np.linspace(self._min_value, self._max_value, self.n_split_points + 2)[
-            1:-1
-        ]
-
-    def class_dists_below(self, threshold: float, n_classes: int) -> np.ndarray:
-        """Estimated class distribution of values at or below ``threshold``."""
-        dist = np.zeros(n_classes)
-        for class_idx, estimator in self._per_class.items():
-            if class_idx < n_classes:
-                dist[class_idx] = estimator.weight_below(threshold)
-        return dist
-
-    def class_dist(self, n_classes: int) -> np.ndarray:
-        dist = np.zeros(n_classes)
-        for class_idx, estimator in self._per_class.items():
-            if class_idx < n_classes:
-                dist[class_idx] = estimator.weight
-        return dist
-
-    def best_split_suggestion(
-        self,
-        criterion: SplitCriterion,
-        pre_split: np.ndarray,
-        feature: int,
-    ) -> SplitSuggestion | None:
-        """Best binary threshold split of this feature according to ``criterion``."""
-        thresholds = self._candidate_thresholds()
-        if thresholds.size == 0:
-            return None
-        n_classes = len(pre_split)
-        observed = self.class_dist(n_classes)
-        best: SplitSuggestion | None = None
-        for threshold in thresholds:
-            left = self.class_dists_below(threshold, n_classes)
-            right = np.maximum(observed - left, 0.0)
-            merit = criterion.merit(pre_split, [left, right])
-            if best is None or merit > best.merit:
-                best = SplitSuggestion(
-                    feature=feature,
-                    threshold=float(threshold),
-                    merit=float(merit),
-                    children_dists=[left, right],
-                )
-        return best
-
-    # --------------------------------------------------------- regression
-    def target_stats_split(
-        self, threshold: float
-    ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-        """(count, sum, sum_sq) of the numeric target left / right of ``threshold``.
-
-        Used by the FIMT-DD classification adaptation, which treats the class
-        index as a numeric target: the per-class Gaussian estimators give the
-        estimated count of each class on either side of the threshold.
-        """
-        left = np.zeros(3)
-        right = np.zeros(3)
-        for class_idx, estimator in self._per_class.items():
-            weight_left = estimator.weight_below(threshold)
-            weight_right = estimator.weight - weight_left
-            left += np.array(
-                [weight_left, weight_left * class_idx, weight_left * class_idx**2]
-            )
-            right += np.array(
-                [
-                    weight_right,
-                    weight_right * class_idx,
-                    weight_right * class_idx**2,
-                ]
-            )
-        return tuple(left), tuple(right)
-
-    def best_sdr_suggestion(
-        self, criterion: VarianceReductionCriterion, feature: int
-    ) -> SplitSuggestion | None:
-        """Best threshold according to standard-deviation reduction."""
-        thresholds = self._candidate_thresholds()
-        if thresholds.size == 0:
-            return None
-        total = np.zeros(3)
-        for class_idx, estimator in self._per_class.items():
-            total += np.array(
-                [
-                    estimator.weight,
-                    estimator.weight * class_idx,
-                    estimator.weight * class_idx**2,
-                ]
-            )
-        best: SplitSuggestion | None = None
-        for threshold in thresholds:
-            left, right = self.target_stats_split(threshold)
-            merit = criterion.merit(tuple(total), [left, right])
-            if best is None or merit > best.merit:
-                best = SplitSuggestion(
-                    feature=feature, threshold=float(threshold), merit=float(merit)
-                )
-        return best
-
-
-class NominalAttributeObserver:
-    """Per-value class counts for one nominal feature.
-
-    Emits binary "value == v versus rest" suggestions because the paper
-    restricts every tree to binary splits.
-    """
-
-    def __init__(self) -> None:
-        self._counts: dict[float, dict[int, float]] = {}
-
-    @property
-    def total_weight(self) -> float:
-        return float(
-            sum(sum(class_counts.values()) for class_counts in self._counts.values())
-        )
-
-    def update(self, value: float, class_idx: int, weight: float = 1.0) -> None:
-        value_counts = self._counts.setdefault(float(value), {})
-        value_counts[int(class_idx)] = value_counts.get(int(class_idx), 0.0) + weight
-
-    def class_dist_for_value(self, value: float, n_classes: int) -> np.ndarray:
-        dist = np.zeros(n_classes)
-        for class_idx, weight in self._counts.get(float(value), {}).items():
-            if class_idx < n_classes:
-                dist[class_idx] = weight
-        return dist
-
-    def best_split_suggestion(
-        self,
-        criterion: SplitCriterion,
-        pre_split: np.ndarray,
-        feature: int,
-    ) -> SplitSuggestion | None:
-        if len(self._counts) < 2:
-            return None
-        n_classes = len(pre_split)
-        observed = np.zeros(n_classes)
-        for value in self._counts:
-            observed += self.class_dist_for_value(value, n_classes)
-        best: SplitSuggestion | None = None
-        for value in self._counts:
-            left = self.class_dist_for_value(value, n_classes)
-            right = np.maximum(observed - left, 0.0)
-            merit = criterion.merit(pre_split, [left, right])
-            if best is None or merit > best.merit:
-                best = SplitSuggestion(
-                    feature=feature,
-                    threshold=float(value),
-                    merit=float(merit),
-                    children_dists=[left, right],
-                    is_nominal=True,
-                )
-        return best
-
-
 class LeafObservers:
     """Structure-of-arrays attribute statistics for one learning leaf.
 
-    Replaces the per-feature dict of observer objects: Gaussian statistics
-    live in class-major ``[class][feature]`` lists of Welford
+    Gaussian statistics live in class-major ``[class][feature]`` lists of Welford
     (weight, mean, M2) triplets, feature ranges in flat min/max lists and
     nominal features in per-value class-count lists.  Lists (not arrays) are
     the working representation because the Welford recurrence is inherently
     sequential per (feature, class) cell: the batch update loops over rows in
     Python but touches every feature of a row with plain float arithmetic,
     which is both faster than per-feature method dispatch and bit-identical
-    to the retained scalar reference path.
+    to a per-feature Welford update.
 
     Split-point queries materialise numpy arrays on demand:
     :meth:`best_split_suggestions` scores every candidate threshold of every
-    feature in one vectorized sweep (or, with ``vectorized=False``, through
-    the legacy per-feature observers), producing bit-identical suggestions.
+    feature in one sweep.
     """
 
     __slots__ = (
@@ -379,11 +136,12 @@ class LeafObservers:
     def update_row(
         self, values: list[float], y_idx: int, weight: float = 1.0
     ) -> None:
-        """Scalar reference update with one observation.
+        """Update with one observation.
 
         ``values`` must be plain Python floats (``x.tolist()``); the Welford
-        recurrence below performs exactly the operations of
-        :meth:`GaussianEstimator.update` per feature.
+        recurrence below is the per-feature Gaussian estimator update
+        (``delta``, ``mean += weight * delta / weight_total``,
+        ``m2 += weight * delta * (value - mean)``).
         """
         y_idx = int(y_idx)
         if y_idx >= self.n_classes:
@@ -536,8 +294,8 @@ class LeafObservers:
     def _class_stats(self, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(weights, means, m2) arrays of shape ``(n_classes, n_features)``.
 
-        Padded (or truncated) to ``n_classes`` rows, mirroring how the legacy
-        observers ignored class indices at or beyond the requested size.
+        Padded (or truncated) to ``n_classes`` rows: class indices at or
+        beyond the requested size are ignored.
         """
         shape = (n_classes, self.n_features)
         weights = np.zeros(shape)
@@ -550,88 +308,15 @@ class LeafObservers:
             m2[:known] = self._m2[:known]
         return weights, means, m2
 
-    # ------------------------------------------------------- legacy bridges
-    @classmethod
-    def from_legacy(
-        cls,
-        n_features: int,
-        n_split_points: int,
-        nominal_features: set[int] | None,
-        legacy: dict,
-    ) -> "LeafObservers":
-        """Build a store from a pre-refactor dict of observer objects."""
-        store = cls(n_features, n_split_points, nominal_features)
-        n_classes = 0
-        for observer in legacy.values():
-            if isinstance(observer, NominalAttributeObserver):
-                for counts in observer._counts.values():
-                    for class_idx in counts:
-                        n_classes = max(n_classes, int(class_idx) + 1)
-            else:
-                for class_idx in observer._per_class:
-                    n_classes = max(n_classes, int(class_idx) + 1)
-        store.grow_classes(n_classes)
-        for feature, observer in legacy.items():
-            feature = int(feature)
-            if isinstance(observer, NominalAttributeObserver):
-                store.nominal_features.add(feature)
-                value_counts: dict[float, list[float]] = {}
-                for value, counts in observer._counts.items():
-                    row = [0.0] * n_classes
-                    for class_idx, weight in counts.items():
-                        row[int(class_idx)] = float(weight)
-                    value_counts[float(value)] = row
-                store._nominal[feature] = value_counts
-            else:
-                for class_idx, estimator in observer._per_class.items():
-                    class_idx = int(class_idx)
-                    store._weights[class_idx][feature] = float(estimator.weight)
-                    store._means[class_idx][feature] = float(estimator.mean)
-                    store._m2[class_idx][feature] = float(estimator._m2)
-                store._mins[feature] = float(observer._min_value)
-                store._maxs[feature] = float(observer._max_value)
-        return store
-
-    def as_legacy_observers(
-        self,
-    ) -> dict[int, "GaussianAttributeObserver | NominalAttributeObserver"]:
-        """Materialise classic per-feature observers (the reference path)."""
-        observers: dict[int, GaussianAttributeObserver | NominalAttributeObserver] = {}
-        for feature in range(self.n_features):
-            if feature in self.nominal_features:
-                observer = NominalAttributeObserver()
-                for value, counts in self._nominal.get(feature, {}).items():
-                    observer._counts[value] = {
-                        class_idx: weight
-                        for class_idx, weight in enumerate(counts)
-                        if weight != 0.0
-                    }
-                observers[feature] = observer
-            else:
-                observer = GaussianAttributeObserver(self.n_split_points)
-                for class_idx in range(self.n_classes):
-                    weight = self._weights[class_idx][feature]
-                    if weight == 0.0:
-                        continue
-                    estimator = GaussianEstimator()
-                    estimator.weight = weight
-                    estimator.mean = self._means[class_idx][feature]
-                    estimator._m2 = self._m2[class_idx][feature]
-                    observer._per_class[class_idx] = estimator
-                observer._min_value = self._mins[feature]
-                observer._max_value = self._maxs[feature]
-                observers[feature] = observer
-        return observers
-
     # ----------------------------------------------------------- suggestions
     @staticmethod
     def _first_max_indices(merits: np.ndarray) -> np.ndarray:
         """Index of the winning candidate per row, matching the scalar loops.
 
-        The reference loops keep the *first* candidate and only replace it on
-        a strictly greater merit, so ties pick the lowest index and a NaN
-        merit never beats the incumbent -- including the degenerate case
-        where the first candidate itself is NaN.
+        Matches a scalar loop that keeps the *first* candidate and only
+        replaces it on a strictly greater merit: ties pick the lowest index
+        and a NaN merit never beats the incumbent -- including the degenerate
+        case where the first candidate itself is NaN.
         """
         masked = np.where(np.isnan(merits), -np.inf, merits)
         best = np.argmax(masked, axis=-1)
@@ -657,8 +342,9 @@ class LeafObservers:
         """Per-class weight at or below every candidate threshold.
 
         Returns ``(observed, below)`` with shapes ``(C, k)`` and
-        ``(C, k, T)``; entries replicate ``GaussianEstimator.weight_below``
-        elementwise (including the zero-weight and degenerate-std branches).
+        ``(C, k, T)``: the per-class Gaussian weight times its CDF at the
+        threshold, elementwise (a zero-weight class contributes 0 and a
+        zero-std class a step at its mean).
         """
         weights, means, m2 = self._class_stats(n_classes)
         weights = weights[:, features]
@@ -705,8 +391,8 @@ class LeafObservers:
         known = min(self.n_classes, n_classes)
         for row, value in enumerate(values):
             dists[row, :known] = value_counts[value][:known]
-        # The reference accumulates the observed distribution value by value
-        # (in insertion order); replicate the same addition order.
+        # Accumulate the observed distribution value by value, in insertion
+        # order (the addition order a per-value loop uses).
         observed = np.zeros(n_classes)
         for row in range(len(values)):
             observed = observed + dists[row]
@@ -725,25 +411,9 @@ class LeafObservers:
         self,
         criterion: SplitCriterion,
         pre_split: np.ndarray,
-        vectorized: bool = True,
     ) -> list[SplitSuggestion]:
-        """Best suggestion per feature, in feature order.
-
-        ``vectorized=False`` materialises the legacy per-feature observers
-        and runs their original per-threshold loops; the default sweep is
-        bit-identical to that reference.
-        """
+        """Best suggestion per feature, in feature order."""
         pre_split = np.asarray(pre_split, dtype=float)
-        if not vectorized:
-            suggestions = []
-            for feature, observer in self.as_legacy_observers().items():
-                suggestion = observer.best_split_suggestion(
-                    criterion, pre_split, feature
-                )
-                if suggestion is not None:
-                    suggestions.append(suggestion)
-            return suggestions
-
         n_classes = len(pre_split)
         features = self._numeric_sweep_features()
         numeric: dict[int, SplitSuggestion] = {}
@@ -782,19 +452,8 @@ class LeafObservers:
     def best_sdr_suggestions(
         self,
         criterion: VarianceReductionCriterion,
-        vectorized: bool = True,
     ) -> list[SplitSuggestion]:
         """Best SDR suggestion per numeric feature (the FIMT-DD criterion)."""
-        if not vectorized:
-            suggestions = []
-            for feature, observer in self.as_legacy_observers().items():
-                if isinstance(observer, NominalAttributeObserver):
-                    continue
-                suggestion = observer.best_sdr_suggestion(criterion, feature)
-                if suggestion is not None:
-                    suggestions.append(suggestion)
-            return suggestions
-
         features = self._numeric_sweep_features()
         if not len(features):
             return []
@@ -802,8 +461,8 @@ class LeafObservers:
         thresholds = self._threshold_grid(features)
         observed, below = self._weights_below(features, thresholds, n_classes)
         k, n_thresholds = thresholds.shape
-        # Accumulate (count, sum, sum_sq) of the class-index target exactly
-        # like the reference: one vector addition per class, in index order.
+        # Accumulate (count, sum, sum_sq) of the class-index target with one
+        # vector addition per class, in index order.
         left = np.zeros((3, k, n_thresholds))
         right = np.zeros((3, k, n_thresholds))
         total = np.zeros((3, k))

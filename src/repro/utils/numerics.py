@@ -1,4 +1,4 @@
-"""Low-level numeric helpers shared by the vectorized training paths.
+"""Low-level numeric helpers shared by the batched training paths.
 
 The batched tree-training code must sometimes *predict* the value a numpy
 reduction will produce without materialising intermediate arrays -- e.g. the

@@ -425,45 +425,6 @@ class TestKernelPurity:
         )
         assert findings == []
 
-    def test_pur001_vectorized_kernel_mutating_data_flagged(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/model.py": (
-                    "class Model:\n"
-                    "    def __init__(self, vectorized=True):\n"
-                    "        self.vectorized = vectorized\n"
-                    "        self.weight = 0.0\n"
-                    "    def partial_fit(self, X, y):\n"
-                    "        if self.vectorized:\n"
-                    "            X[0] = 0.0\n"
-                    "        return self\n"
-                ),
-            },
-            "PUR",
-        )
-        assert [f.rule for f in findings] == ["PUR001"]
-        assert "'X'" in findings[0].message
-
-    def test_pur001_vectorized_kernel_model_state_ok(self, tmp_path):
-        findings = findings_for(
-            tmp_path,
-            {
-                "repro/trees/model.py": (
-                    "class Model:\n"
-                    "    def __init__(self, vectorized=True):\n"
-                    "        self.vectorized = vectorized\n"
-                    "        self.weight = 0.0\n"
-                    "    def partial_fit(self, X, y):\n"
-                    "        if self.vectorized:\n"
-                    "            self.weight += float(len(X))\n"
-                    "        return self\n"
-                ),
-            },
-            "PUR",
-        )
-        assert findings == []
-
 
 # ------------------------------------------------------------ copy checker
 

@@ -1,9 +1,9 @@
-"""Bit-equivalence of the vectorized baseline kernels vs. the reference loops.
+"""Bit-equivalence of the baseline kernels vs. the reference loops.
 
-Every baseline keeps a ``vectorized=False`` path that retains the original
-per-row / per-threshold / per-value implementations.  These property tests
-pin the vectorized kernels to that reference *bitwise*: observer statistics,
-split suggestions, drift-detector firing indices, predictions and full
+The original per-row / per-threshold / per-value implementations of every
+baseline live on as oracles in ``tests/oracles``.  These property tests pin
+the production kernels to them *bitwise*: observer statistics, split
+suggestions, drift-detector firing indices, predictions and full
 prequential ``deterministic_summary()`` must be identical under arbitrary
 batch schedules (including single-row and constant-feature batches), for
 binary and multiclass streams.
@@ -11,7 +11,8 @@ binary and multiclass streams.
 The legacy-persistence tests load model files written by the pre-refactor
 code (dict-of-dataclass observers, committed under
 ``tests/golden/legacy_baselines/``) and check they migrate transparently
-into the structure-of-arrays layout.
+into the structure-of-arrays layout, and that the retired ``vectorized``
+field those files carry is dropped on load.
 """
 
 import json
@@ -28,10 +29,15 @@ from repro.drift.eddm import EDDM
 from repro.drift.kswin import KSWIN
 from repro.drift.page_hinkley import PageHinkley
 from repro.ensembles.adaptive_random_forest import AdaptiveRandomForestClassifier
-from repro.ensembles.bagging import OzaBaggingClassifier
+from repro.ensembles.bagging import (
+    OzaBaggingClassifier,
+    accumulate_member_votes,
+    detector_saw_mean_increase,
+)
 from repro.ensembles.leveraging_bagging import LeveragingBaggingClassifier
 from repro.evaluation.prequential import PrequentialEvaluator
-from repro.persistence import load_model
+from repro.linear.naive_bayes import GaussianNaiveBayes
+from repro.persistence import from_state, load_model, to_state
 from repro.streams.synthetic import LEDGenerator, SEAGenerator
 from repro.trees.criteria import GiniCriterion, InfoGainCriterion, VarianceReductionCriterion
 from repro.trees.efdt import ExtremelyFastDecisionTreeClassifier
@@ -39,6 +45,22 @@ from repro.trees.fimtdd import FIMTDDClassifier
 from repro.trees.hat import HoeffdingAdaptiveTreeClassifier
 from repro.trees.observers import LeafObservers
 from repro.trees.vfdt import HoeffdingTreeClassifier
+from tests.oracles.dmt import ReferenceNaiveBayes
+from tests.oracles.ensembles import (
+    ReferenceAdaptiveRandomForest,
+    ReferenceLeveragingBagging,
+    ReferenceOzaBagging,
+    member_votes_per_column,
+    saw_mean_increase_per_value,
+)
+from tests.oracles.trees import (
+    ReferenceExtremelyFastDecisionTree,
+    ReferenceFIMTDD,
+    ReferenceHoeffdingAdaptiveTree,
+    ReferenceHoeffdingTree,
+    ReferenceLeafObservers,
+    fimtdd_proba_per_row,
+)
 
 LEGACY_DIR = os.path.join(os.path.dirname(__file__), "golden", "legacy_baselines")
 
@@ -72,7 +94,9 @@ def stream_rows(multiclass: bool, n: int, seed: int, constant_feature: bool):
 
 
 def train_pair(make_model, X, y, classes, sizes):
-    fast, reference = make_model(vectorized=True), make_model(vectorized=False)
+    """Train ``make_model(False)`` (production) and ``make_model(True)``
+    (its oracle) side by side on the same batch schedule."""
+    fast, reference = make_model(False), make_model(True)
     position = 0
     for size in sizes:
         batch_X, batch_y = X[position : position + size], y[position : position + size]
@@ -121,19 +145,19 @@ class TestObserverStoreEquivalence:
     ):
         rng = np.random.default_rng(seed)
         store = LeafObservers(n_features=5, n_split_points=10, nominal_features={2})
+        oracle = ReferenceLeafObservers.like(store)
         size = int(rng.integers(5, 200))
         X = rng.normal(0.0, 2.0, size=(size, 5))
         X[:, 2] = rng.integers(0, 4, size=size)  # nominal values
         y = rng.integers(0, n_classes, size=size)
         store.update_batch(X, y)
+        oracle.update_batch(X, y)
         pre_split = np.bincount(y, minlength=n_classes).astype(float)
         criterion = (
             InfoGainCriterion() if criterion_name == "info_gain" else GiniCriterion()
         )
-        fast = store.best_split_suggestions(criterion, pre_split, vectorized=True)
-        reference = store.best_split_suggestions(
-            criterion, pre_split, vectorized=False
-        )
+        fast = store.best_split_suggestions(criterion, pre_split)
+        reference = oracle.best_split_suggestions(criterion, pre_split)
         assert len(fast) == len(reference)
         for a, b in zip(fast, reference):
             assert (a.feature, a.is_nominal) == (b.feature, b.is_nominal)
@@ -148,13 +172,15 @@ class TestObserverStoreEquivalence:
     def test_sdr_suggestion_sweep_matches_reference(self, seed, n_classes):
         rng = np.random.default_rng(seed)
         store = LeafObservers(n_features=4, n_split_points=10)
+        oracle = ReferenceLeafObservers.like(store)
         size = int(rng.integers(5, 150))
         X = rng.normal(0.0, 1.5, size=(size, 4))
         y = rng.integers(0, n_classes, size=size)
         store.update_batch(X, y)
+        oracle.update_batch(X, y)
         criterion = VarianceReductionCriterion()
-        fast = store.best_sdr_suggestions(criterion, vectorized=True)
-        reference = store.best_sdr_suggestions(criterion, vectorized=False)
+        fast = store.best_sdr_suggestions(criterion)
+        reference = oracle.best_sdr_suggestions(criterion)
         assert len(fast) == len(reference)
         for a, b in zip(fast, reference):
             assert a.feature == b.feature
@@ -173,42 +199,55 @@ class TestObserverStoreEquivalence:
 
 
 # -------------------------------------------------------------------- trees
+def _paired(production, oracle, **kwargs):
+    """Factory: ``make(True)`` builds the oracle, ``make(False)`` production."""
+    return lambda reference: (oracle if reference else production)(**kwargs)
+
+
 TREE_FACTORIES = {
-    "vfdt_mc": lambda vectorized: HoeffdingTreeClassifier(
-        grace_period=60, split_confidence=0.05, vectorized=vectorized
+    "vfdt_mc": _paired(
+        HoeffdingTreeClassifier,
+        ReferenceHoeffdingTree,
+        grace_period=60,
+        split_confidence=0.05,
     ),
-    "vfdt_nba": lambda vectorized: HoeffdingTreeClassifier(
+    "vfdt_nba": _paired(
+        HoeffdingTreeClassifier,
+        ReferenceHoeffdingTree,
         grace_period=60,
         split_confidence=0.05,
         leaf_prediction="nba",
-        vectorized=vectorized,
     ),
-    "ht_ada": lambda vectorized: HoeffdingAdaptiveTreeClassifier(
+    "ht_ada": _paired(
+        HoeffdingAdaptiveTreeClassifier,
+        ReferenceHoeffdingAdaptiveTree,
         grace_period=60,
         split_confidence=0.05,
         adwin_delta=0.05,
         alternate_min_weight=40,
-        vectorized=vectorized,
     ),
-    "efdt": lambda vectorized: ExtremelyFastDecisionTreeClassifier(
+    "efdt": _paired(
+        ExtremelyFastDecisionTreeClassifier,
+        ReferenceExtremelyFastDecisionTree,
         grace_period=60,
         split_confidence=0.05,
         reevaluation_period=150,
-        vectorized=vectorized,
     ),
     # Fractional post-split distributions + Naive Bayes leaves and the
     # max_depth bulk path exercise the sequential class-count accumulation.
-    "vfdt_nb": lambda vectorized: HoeffdingTreeClassifier(
+    "vfdt_nb": _paired(
+        HoeffdingTreeClassifier,
+        ReferenceHoeffdingTree,
         grace_period=60,
         split_confidence=0.05,
         leaf_prediction="nb",
-        vectorized=vectorized,
     ),
-    "vfdt_capped": lambda vectorized: HoeffdingTreeClassifier(
+    "vfdt_capped": _paired(
+        HoeffdingTreeClassifier,
+        ReferenceHoeffdingTree,
         grace_period=60,
         split_confidence=0.05,
         max_depth=2,
-        vectorized=vectorized,
     ),
 }
 
@@ -249,8 +288,8 @@ class TestTreeEquivalence:
         X, y, classes = stream_rows(False, n, seed % 89, False)
         sizes = random_schedule(rng, n, single_rows)
         fast, reference = train_pair(
-            lambda vectorized: FIMTDDClassifier(
-                grace_period=60, random_state=3, vectorized=vectorized
+            _paired(
+                FIMTDDClassifier, ReferenceFIMTDD, grace_period=60, random_state=3
             ),
             X, y, classes, sizes,
         )
@@ -261,12 +300,12 @@ class TestTreeEquivalence:
         # agree bitwise (the batched path may differ in the last ulp because
         # BLAS blocks the batched matmul differently -- see the class docs).
         assert np.array_equal(
-            fast._predict_proba_per_row(X[:200]),
-            reference._predict_proba_per_row(X[:200]),
+            fimtdd_proba_per_row(fast, X[:200]),
+            reference.predict_proba(X[:200]),
         )
         np.testing.assert_allclose(
             fast.predict_proba(X[:200]),
-            fast._predict_proba_per_row(X[:200]),
+            fimtdd_proba_per_row(fast, X[:200]),
             rtol=1e-12,
             atol=1e-15,
         )
@@ -276,9 +315,9 @@ class TestTreeEquivalence:
     )
     def test_prequential_deterministic_summary_identical(self, model):
         summaries = []
-        for vectorized in (True, False):
+        for reference in (False, True):
             stream = SEAGenerator(n_samples=1500, noise=0.1, seed=11)
-            classifier = TREE_FACTORIES[model](vectorized)
+            classifier = TREE_FACTORIES[model](reference)
             result = PrequentialEvaluator(batch_size=64).evaluate(
                 classifier, stream, model_name=model, dataset_name="sea"
             )
@@ -287,7 +326,7 @@ class TestTreeEquivalence:
 
     def test_single_row_and_1d_partial_fit(self):
         for factory in TREE_FACTORIES.values():
-            model = factory(True)
+            model = factory(False)
             model.partial_fit(np.array([1.0, 2.0, 3.0]), np.array([0]), classes=[0, 1])
             model.partial_fit(np.array([[2.0, 1.0, 0.0]]), np.array([1]))
             proba = model.predict_proba(np.array([1.5, 1.5, 1.5]))
@@ -392,14 +431,18 @@ class TestEnsembleEquivalence:
     )
     def test_vectorized_matches_reference(self, seed, name):
         factories = {
-            "oza": lambda vectorized: OzaBaggingClassifier(
-                random_state=7, vectorized=vectorized
+            "oza": _paired(
+                OzaBaggingClassifier, ReferenceOzaBagging, random_state=7
             ),
-            "leveraging": lambda vectorized: LeveragingBaggingClassifier(
-                random_state=7, vectorized=vectorized
+            "leveraging": _paired(
+                LeveragingBaggingClassifier,
+                ReferenceLeveragingBagging,
+                random_state=7,
             ),
-            "arf": lambda vectorized: AdaptiveRandomForestClassifier(
-                random_state=7, vectorized=vectorized
+            "arf": _paired(
+                AdaptiveRandomForestClassifier,
+                ReferenceAdaptiveRandomForest,
+                random_state=7,
             ),
         }
         rng = np.random.default_rng(seed)
@@ -417,6 +460,68 @@ class TestEnsembleEquivalence:
             assert fast.n_warnings == reference.n_warnings
         if name == "leveraging":
             assert fast.n_member_resets == reference.n_member_resets
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_member=st.integers(1, 6),
+        n_ensemble=st.integers(1, 6),
+    )
+    def test_vote_alignment_matches_per_column(self, seed, n_member, n_ensemble):
+        rng = np.random.default_rng(seed)
+        labels = np.arange(8)
+        member_classes = np.sort(rng.choice(labels, size=n_member, replace=False))
+        ensemble_classes = np.sort(
+            rng.choice(labels, size=n_ensemble, replace=False)
+        )
+        proba = rng.random((17, n_member))
+        start = rng.random((17, n_ensemble))
+        fast, reference = start.copy(), start.copy()
+        accumulate_member_votes(fast, proba, member_classes, ensemble_classes)
+        member_votes_per_column(reference, proba, member_classes, ensemble_classes)
+        assert np.array_equal(fast, reference)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), delta=st.sampled_from([0.002, 0.05, 0.3]))
+    def test_detector_feed_matches_per_value(self, seed, delta):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 1500))
+        flip = int(rng.integers(1, n))
+        errors = np.concatenate(
+            [
+                rng.random(flip) < rng.uniform(0.0, 0.5),
+                rng.random(n - flip) < rng.uniform(0.0, 1.0),
+            ]
+        ).astype(float)
+        fast, reference = ADWIN(delta=delta), ADWIN(delta=delta)
+        for chunk in np.array_split(errors, 5):
+            assert detector_saw_mean_increase(
+                fast, chunk
+            ) == saw_mean_increase_per_value(reference, chunk)
+            assert fast.mean == reference.mean
+            assert fast.width == reference.width
+            assert fast.n_observations == reference.n_observations
+
+
+class TestNaiveBayesEquivalence:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n_classes=st.integers(2, 5),
+        n_features=st.integers(1, 6),
+    )
+    def test_likelihood_matches_per_class_loop(self, seed, n_classes, n_features):
+        rng = np.random.default_rng(seed)
+        fast = GaussianNaiveBayes(n_features, n_classes)
+        reference = ReferenceNaiveBayes(n_features, n_classes)
+        X = rng.normal(0.0, 3.0, size=(int(rng.integers(1, 80)), n_features))
+        y = rng.integers(0, n_classes, size=len(X))
+        fast.update(X, y)
+        reference.update(X, y)
+        queries = rng.normal(0.0, 3.0, size=(33, n_features))
+        assert np.array_equal(
+            fast.predict_proba(queries), reference.predict_proba(queries)
+        )
 
 
 # -------------------------------------------------------------- persistence
@@ -512,3 +617,98 @@ class TestLegacyPersistenceMigration:
         assert np.array_equal(
             clone.predict_proba(X[:200]), model.predict_proba(X[:200])
         )
+
+
+def _reachable_objects(root) -> list:
+    """Every object reachable from ``root`` through attributes and containers."""
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        value = stack.pop()
+        if id(value) in seen or isinstance(
+            value, (str, bytes, int, float, bool, type(None), np.ndarray, np.generic)
+        ):
+            continue
+        seen[id(value)] = value
+        if isinstance(value, dict):
+            stack.extend(value.keys())
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple, set, frozenset)):
+            stack.extend(value)
+        else:
+            stack.extend(getattr(value, "__dict__", {}).values())
+            for klass in type(value).__mro__:
+                for slot in getattr(klass, "__slots__", ()):
+                    if hasattr(value, slot):
+                        stack.append(getattr(value, slot))
+    return list(seen.values())
+
+
+def _state_objects(state) -> list[dict]:
+    """Every encoded object (``{"__repro__": "object", ...}``) in a state tree."""
+    found = []
+    stack = [state]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            if value.get("__repro__") == "object":
+                found.append(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return found
+
+
+class TestRetiredVectorizedField:
+    """Model files written while the ``vectorized`` option existed still load."""
+
+    PATH = os.path.join(LEGACY_DIR, "fimtdd_sea.json")
+
+    def _raw(self) -> dict:
+        with open(self.PATH) as handle:
+            return json.load(handle)
+
+    def test_field_is_dropped_on_load_and_never_resaved(self, tmp_path):
+        flagged = [
+            obj for obj in _state_objects(self._raw()) if "vectorized" in obj["state"]
+        ]
+        assert len(flagged) == 13  # the classifier and its leaf models
+        loaded = load_model(self.PATH)
+        carriers = [
+            type(obj).__name__
+            for obj in _reachable_objects(loaded)
+            if hasattr(obj, "vectorized")
+        ]
+        assert carriers == []
+        resaved = tmp_path / "fimtdd.json"
+        loaded.save(resaved)
+        with open(resaved) as handle:
+            assert '"vectorized"' not in handle.read()
+        assert all(
+            "vectorized" not in obj["state"] for obj in _state_objects(to_state(loaded))
+        )
+
+    def test_reference_flag_payload_matches_fresh_model(self):
+        raw = self._raw()
+        edited = 0
+        for obj in _state_objects(raw):
+            if "vectorized" in obj["state"]:
+                obj["state"]["vectorized"] = False
+                edited += 1
+        assert edited == 13
+        loaded = from_state(raw)
+        factory, dataset, n = LEGACY_TRAINING["fimtdd_sea"]
+        X, y, classes = _legacy_training_rows(dataset, n)
+        fresh = factory()
+        for start in range(0, n, 50):
+            fresh.partial_fit(X[start : start + 50], y[start : start + 50], classes=classes)
+        X_heldout = X[n:]
+        assert np.array_equal(
+            loaded.predict_proba(X_heldout), fresh.predict_proba(X_heldout)
+        )
+        loaded.partial_fit(X_heldout, y[n:], classes=classes)
+        fresh.partial_fit(X_heldout, y[n:], classes=classes)
+        assert np.array_equal(
+            loaded.predict_proba(X[:200]), fresh.predict_proba(X[:200])
+        )
+        assert loaded.n_split_events == fresh.n_split_events

@@ -5,7 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.candidates import CandidateManager, CandidateStatistics
+from repro.core.candidates import (
+    CandidateManager,
+    CandidateStatistics,
+    candidate_gain_sweep,
+)
 
 
 def _make_batch(n=40, n_features=3, seed=0, n_classes=2):
@@ -14,6 +18,22 @@ def _make_batch(n=40, n_features=3, seed=0, n_classes=2):
     per_sample_loss = rng.uniform(0.1, 1.0, size=n)
     per_sample_gradient = rng.normal(size=(n, 5))
     return X, per_sample_loss, per_sample_gradient
+
+
+def _gain(candidate, node_loss, node_gradient, node_count, learning_rate, **kwargs):
+    """Gain of one candidate through the production sweep."""
+    return float(
+        candidate_gain_sweep(
+            np.array([candidate.loss]),
+            candidate.gradient[None, :],
+            np.array([candidate.count]),
+            node_loss,
+            np.asarray(node_gradient, dtype=float),
+            node_count,
+            learning_rate,
+            **kwargs,
+        )[0]
+    )
 
 
 class TestCandidateStatistics:
@@ -30,22 +50,22 @@ class TestCandidateStatistics:
         candidate = CandidateStatistics(feature=0, threshold=0.5)
         candidate.add(2.0, np.array([1.0, 0.0]), 5)
         node_loss, node_grad, node_count = 6.0, np.array([1.0, 3.0]), 12
-        gain = candidate.gain(node_loss, node_grad, node_count, learning_rate=0.0)
+        gain = _gain(candidate, node_loss, node_grad, node_count, learning_rate=0.0)
         # With lr = 0 the approximation keeps the raw losses: left = 2, right = 4.
         assert gain == pytest.approx(6.0 - 2.0 - 4.0)
 
     def test_gain_with_gradient_is_larger(self):
         candidate = CandidateStatistics(feature=0, threshold=0.5)
         candidate.add(2.0, np.array([2.0, 0.0]), 5)
-        base = candidate.gain(6.0, np.array([2.0, 2.0]), 12, learning_rate=0.0)
-        improved = candidate.gain(6.0, np.array([2.0, 2.0]), 12, learning_rate=0.1)
+        base = _gain(candidate, 6.0, np.array([2.0, 2.0]), 12, learning_rate=0.0)
+        improved = _gain(candidate, 6.0, np.array([2.0, 2.0]), 12, learning_rate=0.1)
         assert improved >= base
 
     def test_gain_against_reference_loss(self):
         candidate = CandidateStatistics(feature=0, threshold=0.5)
         candidate.add(2.0, np.zeros(2), 5)
-        gain = candidate.gain(
-            6.0, np.zeros(2), 12, learning_rate=0.0, reference_loss=20.0
+        gain = _gain(
+            candidate, 6.0, np.zeros(2), 12, learning_rate=0.0, reference_loss=20.0
         )
         assert gain == pytest.approx(20.0 - 2.0 - 4.0)
 
@@ -142,7 +162,7 @@ class TestCandidateManagerBounds:
         assert len(manager) == 4
         stored_keys = {candidate.key for candidate in manager.candidates}
         stored_gains = [
-            candidate.gain(node_loss, node_grad, 60.0, learning_rate=0.05)
+            _gain(candidate, node_loss, node_grad, 60.0, learning_rate=0.05)
             for candidate in manager.candidates
         ]
         assert min(stored_gains) > 0.0
@@ -216,8 +236,8 @@ class TestCandidateManagerQueries:
         )
         assert best is not None
         for candidate in manager.candidates:
-            gain = candidate.gain(
-                loss.sum(), grad.sum(axis=0), len(loss), learning_rate=0.05
+            gain = _gain(
+                candidate, loss.sum(), grad.sum(axis=0), len(loss), learning_rate=0.05
             )
             assert gain <= best_gain + 1e-12
 

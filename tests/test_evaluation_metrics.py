@@ -16,7 +16,7 @@ from repro.evaluation.metrics import (
     precision_score,
     recall_score,
 )
-from tests.metrics_oracle import (
+from tests.oracles.metrics import (
     ReferenceConfusionMatrix,
     reference_batch_scores,
     reference_kappa_temporal_score,

@@ -73,9 +73,16 @@ class TestConstruction:
         second = model.clone(warm_start=False, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(first.weights, second.weights)
 
-    def test_clone_preserves_vectorized_flag(self):
-        model = IncrementalGLM(n_features=2, n_classes=2, rng=0, vectorized=False)
-        assert model.clone(warm_start=True).vectorized is False
+    def test_clone_keeps_the_model_class(self):
+        """DMT children are warm clones of their parent's model, so a clone of
+        a subclass (e.g. the per-row SGD oracle) must stay that subclass."""
+
+        class PerRowGLM(IncrementalGLM):
+            pass
+
+        model = PerRowGLM(n_features=2, n_classes=2, rng=0)
+        assert type(model.clone(warm_start=True)) is PerRowGLM
+        assert type(model.clone(warm_start=False, rng=1)) is PerRowGLM
 
 
 class TestInference:

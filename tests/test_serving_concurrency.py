@@ -51,38 +51,55 @@ def _clean_telemetry():
 
 
 def test_scoring_during_hot_swaps_loses_no_counts():
-    """Scorers racing registry hot-swaps: stats stay exact, rows intact."""
+    """Scorers racing registry hot-swaps: stats stay exact, rows intact.
+
+    Every scorer's first request is answered by the initial model (label 0).
+    The swapper starts only once all first requests are in, and the scorers
+    go on only once it has registered its first replacement; replacements
+    answer 1-3.  So at least one swap and two observed versions are
+    guaranteed however the threads are scheduled.
+    """
     registry = ModelRegistry()
     registry.register("clf", _ConstantModel(0))
     service = ScoringService(registry)
     X = np.zeros((ROWS, 3))
-    start = threading.Barrier(N_THREADS + 1)
+    first_requests = threading.Barrier(N_THREADS + 1, timeout=60)
+    swapped = threading.Event()
     stop = threading.Event()
 
+    def request() -> int:
+        out = service.predict("clf", X)
+        # A torn read would mix labels inside one response; each
+        # response must come from exactly one model version.
+        assert len(set(out.tolist())) == 1
+        return int(out[0])
+
     def score(worker: int) -> list[int]:
-        start.wait()
-        labels = []
-        for _ in range(N_REQUESTS):
-            out = service.predict("clf", X)
-            # A torn read would mix labels inside one response; each
-            # response must come from exactly one model version.
-            assert len(set(out.tolist())) == 1
-            labels.append(int(out[0]))
+        labels = [request()]
+        first_requests.wait()
+        if not swapped.wait(timeout=60):
+            raise TimeoutError("the swapper never registered a model")
+        for _ in range(N_REQUESTS - 1):
+            labels.append(request())
         return labels
 
     def swap() -> int:
-        start.wait()
+        first_requests.wait()
         version = 0
-        while not stop.is_set():
+        while True:
             version += 1
-            registry.register("clf", _ConstantModel(version % 4))
-        return version
+            registry.register("clf", _ConstantModel(1 + version % 3))
+            swapped.set()
+            if stop.is_set():
+                return version
 
     with ThreadPoolExecutor(max_workers=N_THREADS + 1) as pool:
         swapper = pool.submit(swap)
         scorers = [pool.submit(score, i) for i in range(N_THREADS)]
-        seen = [f.result() for f in scorers]
-        stop.set()
+        try:
+            seen = [f.result() for f in scorers]
+        finally:
+            stop.set()
         assert swapper.result() > 0
 
     stats = service.stats("clf")

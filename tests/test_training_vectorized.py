@@ -1,14 +1,15 @@
-"""Property tests: the vectorized DMT training hot path is bit-identical to
-the retained per-row / per-candidate reference implementations.
+"""Property tests: the DMT training hot path is bit-identical to the
+per-row / per-candidate reference oracles in ``tests/oracles/dmt.py``.
 
-Three layers are compared across random batch schedules (including
+Four layers are compared across random batch schedules (including
 single-row and constant-feature batches), binary and multiclass:
 
-* ``CandidateManager`` batch accumulation + admission (``vectorized=True``
-  vs the per-candidate reference loops),
-* the ``candidate_gain_sweep`` against ``CandidateStatistics.gain``,
-* ``IncrementalGLM.fit_incremental`` (fast path vs per-row reference),
-* the full ``DynamicModelTree`` training loop, including the prequential
+* ``CandidateManager`` batch accumulation + admission vs
+  ``ReferenceCandidateManager`` (per-candidate loops),
+* the ``candidate_gain_sweep`` against the scalar ``candidate_gain``,
+* ``IncrementalGLM.fit_incremental`` vs ``ReferenceGLM`` (per-row loop),
+* the full ``DynamicModelTree`` training loop vs
+  ``ReferenceDynamicModelTree``, including the prequential
   ``deterministic_summary()``.
 """
 
@@ -26,6 +27,12 @@ from repro.evaluation.prequential import PrequentialEvaluator
 from repro.linear.glm import IncrementalGLM
 from repro.streams.synthetic import SEAGenerator
 from tests.conftest import make_multiclass_blobs, make_xor
+from tests.oracles.dmt import (
+    ReferenceCandidateManager,
+    ReferenceDynamicModelTree,
+    ReferenceGLM,
+    candidate_gain,
+)
 
 
 def _batch_schedule(rng, total, max_batch=60):
@@ -76,8 +83,8 @@ class TestCandidateManagerEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000), constant=st.booleans())
     def test_accumulation_and_admission_bit_identical(self, seed, constant):
-        fast = CandidateManager(n_features=3, max_candidates=7, vectorized=True)
-        slow = CandidateManager(n_features=3, max_candidates=7, vectorized=False)
+        fast = CandidateManager(n_features=3, max_candidates=7)
+        slow = ReferenceCandidateManager(n_features=3, max_candidates=7)
         node_loss, node_count = 0.0, 0.0
         node_grad = np.zeros(5)
         for X, loss, grad in _random_batches(seed, constant_feature=constant):
@@ -100,8 +107,8 @@ class TestCandidateManagerEquivalence:
                 assert best_fast[1] == best_slow[1]
 
     def test_single_row_batches_bit_identical(self):
-        fast = CandidateManager(n_features=2, max_candidates=4, vectorized=True)
-        slow = CandidateManager(n_features=2, max_candidates=4, vectorized=False)
+        fast = CandidateManager(n_features=2, max_candidates=4)
+        slow = ReferenceCandidateManager(n_features=2, max_candidates=4)
         rng = np.random.default_rng(11)
         node_loss, node_count, node_grad = 0.0, 0.0, np.zeros(3)
         for _ in range(40):
@@ -139,12 +146,15 @@ class TestGainSweepEquivalence:
             node_loss, node_grad, node_count, 0.05, reference_loss,
         )
         for index in range(k):
-            scalar = CandidateStatistics(
-                feature=0, threshold=0.0,
-                loss=float(losses[index]),
-                gradient=gradients[index],
-                count=float(counts[index]),
-            ).gain(node_loss, node_grad, node_count, 0.05, reference_loss)
+            scalar = candidate_gain(
+                CandidateStatistics(
+                    feature=0, threshold=0.0,
+                    loss=float(losses[index]),
+                    gradient=gradients[index],
+                    count=float(counts[index]),
+                ),
+                node_loss, node_grad, node_count, 0.05, reference_loss,
+            )
             assert swept[index] == scalar
 
 
@@ -154,8 +164,7 @@ class TestGLMEquivalence:
     def test_fit_incremental_fast_path_bit_identical(self, seed, n_classes):
         rng = np.random.default_rng(seed)
         fast = IncrementalGLM(n_features=3, n_classes=n_classes, rng=seed)
-        slow = fast.clone(warm_start=True)
-        slow.vectorized = False
+        slow = ReferenceGLM(n_features=3, n_classes=n_classes, rng=seed)
         total = 200
         X = rng.uniform(size=(total, 3))
         y = rng.integers(0, n_classes, size=total)
@@ -169,8 +178,7 @@ class TestGLMEquivalence:
 
     def test_constant_feature_batch_bit_identical(self):
         fast = IncrementalGLM(n_features=2, n_classes=2, rng=0)
-        slow = fast.clone(warm_start=True)
-        slow.vectorized = False
+        slow = ReferenceGLM(n_features=2, n_classes=2, rng=0)
         X = np.full((30, 2), 0.25)
         y = np.zeros(30, dtype=int)
         fast.fit_incremental(X, y)
@@ -195,7 +203,7 @@ class TestDMTEquivalence:
         X = X * 3.0
         rng = np.random.default_rng(seed)
         fast = DynamicModelTree(random_state=seed)
-        slow = DynamicModelTree(random_state=seed, vectorized=False)
+        slow = ReferenceDynamicModelTree(random_state=seed)
         start = 0
         for size in _batch_schedule(rng, len(X), max_batch=120):
             xb, yb = X[start : start + size], y[start : start + size]
@@ -211,7 +219,7 @@ class TestDMTEquivalence:
     def test_multiclass_training_bit_identical(self):
         X, y = make_multiclass_blobs(3000, n_classes=3, n_features=4, seed=5)
         fast = DynamicModelTree(random_state=3)
-        slow = DynamicModelTree(random_state=3, vectorized=False)
+        slow = ReferenceDynamicModelTree(random_state=3)
         for begin in range(0, len(X), 64):
             xb, yb = X[begin : begin + 64], y[begin : begin + 64]
             fast.partial_fit(xb, yb, classes=[0, 1, 2])
@@ -222,9 +230,9 @@ class TestDMTEquivalence:
     def test_deterministic_summary_bit_identical(self):
         """The acceptance criterion: same seeds, both paths, same summary."""
         summaries = []
-        for vectorized in (True, False):
+        for model_class in (DynamicModelTree, ReferenceDynamicModelTree):
             stream = SEAGenerator(n_samples=2000, noise=0.1, seed=42)
-            model = DynamicModelTree(random_state=42, vectorized=vectorized)
+            model = model_class(random_state=42)
             evaluator = PrequentialEvaluator(batch_size=50)
             result = evaluator.evaluate(model, stream, model_name="dmt")
             summaries.append(result.deterministic_summary())
@@ -256,14 +264,12 @@ class TestLegacyPayloadMigration:
         }
         for field in (
             "_features", "_thresholds", "_losses", "_counts", "_gradients",
-            "vectorized",
         ):
             state["state"].pop(field, None)
         state["state"]["_candidates"] = codec.encode(legacy_candidates)
 
         loaded = codec.decode(state)
         assert isinstance(loaded, CandidateManager)
-        assert loaded.vectorized is True  # class-level fallback
         _assert_managers_identical(loaded, manager)
 
         # The migrated store keeps accumulating identically to the original.

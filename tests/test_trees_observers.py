@@ -1,4 +1,9 @@
-"""Tests for attribute observers and the Hoeffding bound."""
+"""Tests for the per-feature attribute observers and the Hoeffding bound.
+
+The per-feature observers are the oracles the structure-of-arrays store is
+pinned to (``tests/test_baselines_vectorized.py``), so they are tested here
+in their own right.
+"""
 
 import math
 
@@ -9,11 +14,11 @@ from hypothesis import strategies as st
 
 from repro.trees.criteria import InfoGainCriterion, VarianceReductionCriterion
 from repro.trees.hoeffding import hoeffding_bound
-from repro.trees.observers import (
+from repro.trees.observers import SplitSuggestion
+from tests.oracles.trees import (
     GaussianAttributeObserver,
     GaussianEstimator,
     NominalAttributeObserver,
-    SplitSuggestion,
 )
 
 
