@@ -12,11 +12,19 @@ features, the DMT stores only a bounded number of candidate statistics
 replaced by newly observed candidates at every time step (Section V-D).
 
 The store keeps its statistics in structure-of-arrays form (one array per
-field, candidates in insertion order), so the per-batch refresh of every
-stored candidate is a single broadcast mask matrix ``X[:, feats] <= thrs``
-followed by one ``(n, k) x (n, p)`` contraction instead of a Python loop per
-candidate.  The accumulation primitives are chosen for bit-equivalence with
-the per-candidate scalar reference kept as a test oracle (``tests/oracles``):
+field, candidates in insertion order).  :meth:`CandidateManager.observe`
+handles one batch of one node in a single pass: it proposes the batch's new
+thresholds, builds one broadcast mask matrix ``X[:, feats] <= thrs`` over the
+stored and the proposed candidates together and runs one
+``(n, k) x (n, p)`` contraction, which both refreshes every stored candidate
+and scores every newcomer.  Admission then needs at most two gain sweeps:
+the newcomers against the batch, and all candidates against the node.  The
+node-referenced child losses of that second sweep are kept for the same
+batch's split decision (:meth:`CandidateManager.best_candidate`), because a
+gain ``(reference - left) - right`` only differs in its reference loss.
+
+The accumulation primitives are chosen for bit-equivalence with the
+per-candidate scalar reference kept as a test oracle (``tests/oracles``):
 losses and gradients use ``np.einsum`` (sequential accumulation over rows,
 exactly like summing the masked rows of a loss-augmented gradient matrix
 along axis 0) rather than a BLAS matmul, whose blocked partial sums differ
@@ -26,6 +34,7 @@ einsum loop order as the scalar :func:`approximate_candidate_loss`.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,15 +60,6 @@ class CandidateStatistics:
     def key(self) -> tuple[int, float]:
         return (self.feature, self.threshold)
 
-    def add(self, loss: float, gradient: np.ndarray, count: float) -> None:
-        """Accumulate the statistics of a new batch."""
-        self.loss += float(loss)
-        if self.gradient.size == 0:
-            self.gradient = np.asarray(gradient, dtype=float).copy()
-        else:
-            self.gradient = self.gradient + gradient
-        self.count += float(count)
-
 
 def augment_batch(
     per_sample_loss: np.ndarray, per_sample_gradient: np.ndarray
@@ -71,15 +71,14 @@ def augment_batch(
     as summing them along axis 0 -- a separate 1-D ``loss[mask].sum()`` would
     sum the compressed subset pairwise and drift in the last ulp.  The column
     layout (loss last) is a contract between this function,
-    :meth:`CandidateManager.update_stored` and
-    :meth:`DMTNode.update_statistics`.
+    :meth:`CandidateManager.observe` and :meth:`DMTNode.update_statistics`.
     """
     return np.concatenate(
         [per_sample_gradient, per_sample_loss[:, None]], axis=1
     )
 
 
-def candidate_gain_sweep(
+def candidate_child_losses(
     losses: np.ndarray,
     gradients: np.ndarray,
     counts: np.ndarray,
@@ -87,23 +86,17 @@ def candidate_gain_sweep(
     node_gradient: np.ndarray,
     node_count: float,
     learning_rate: float,
-    reference_loss: float | None = None,
     assume_counts_positive: bool = False,
-) -> np.ndarray:
-    """Gains of all candidates in one sweep -- equations (3), (4) and (7).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Approximated left and right child losses of all candidates -- (7).
 
-    Bit-identical to the scalar per-candidate gain (the candidate losses of
-    :func:`~repro.core.gains.approximate_candidate_loss` fed to
-    :func:`~repro.core.gains.split_gain`): the squared gradient norms use the
-    same einsum accumulation order, everything else is elementwise.
-    ``assume_counts_positive`` skips the empty-subset guard on the left
-    child; the candidate store guarantees it (candidates are only admitted
-    with observations and counts never decrease).
+    Bit-identical to :func:`~repro.core.gains.approximate_candidate_loss`
+    per child: the squared gradient norms use the same einsum accumulation
+    order, everything else is elementwise.  ``assume_counts_positive`` skips
+    the empty-subset guard on the left child; the candidate store guarantees
+    it (candidates are only admitted with observations and counts never
+    decrease).
     """
-    if reference_loss is None:
-        reference_loss = node_loss
-    if len(losses) == 0:
-        return np.zeros(0)
     left_norms = np.einsum("kp,kp->k", gradients, gradients)
     right_gradients = node_gradient - gradients
     right_norms = np.einsum("kp,kp->k", right_gradients, right_gradients)
@@ -140,7 +133,35 @@ def candidate_gain_sweep(
             ),
             right_subset_losses,
         )
-    return reference_loss - left_losses - right_losses
+    return left_losses, right_losses
+
+
+def _lerp(
+    low: np.ndarray,
+    high: np.ndarray,
+    gamma: np.ndarray,
+    one_minus_gamma: np.ndarray,
+    upper: np.ndarray,
+) -> np.ndarray:
+    """numpy's ``linear`` quantile interpolation between sorted neighbours.
+
+    ``low + (high - low) * gamma``, switching to the other side,
+    ``high - (high - low) * (1 - gamma)``, where ``upper`` (``gamma >= 0.5``).
+    """
+    diff = high - low
+    return np.where(upper, high - diff * one_minus_gamma, low + diff * gamma)
+
+
+def _statistics_key(
+    node_loss: float,
+    node_gradient: np.ndarray,
+    node_count: float,
+    learning_rate: float,
+) -> bytes:
+    """Exact bit pattern of the node statistics a gain sweep depends on."""
+    return struct.pack(
+        "ddd", node_loss, node_count, learning_rate
+    ) + np.asarray(node_gradient, dtype=float).tobytes()
 
 
 class CandidateManager:
@@ -165,7 +186,7 @@ class CandidateManager:
 
     #: Pure caches skipped by the persistence encoder and rebuilt by
     #: :meth:`_init_transient`.
-    _repro_transient = ("_key_index", "_candidate_counters")
+    _repro_transient = ("_candidate_counters", "_child_losses", "_quantile_grid")
 
     def __init__(
         self,
@@ -204,7 +225,7 @@ class CandidateManager:
 
     # -------------------------------------------------------------- decoding
     def _init_transient(self) -> None:
-        """Rebuild the key index and the telemetry counter cache."""
+        """Reset the caches: sweep results, proposal grid, telemetry handles."""
         #: Cached admitted/evicted counter handles, stamped with the metric
         #: registry generation they were resolved under (a registry
         #: ``clear()`` bumps the generation and invalidates them).
@@ -213,16 +234,13 @@ class CandidateManager:
         #: per-update path.  Instance state (not a module cache) so the
         #: kernel purity certification stays free of module-level writes.
         self._candidate_counters: dict = {"generation": -1}
-        self._rebuild_key_index()
-
-    def _rebuild_key_index(self) -> None:
-        """Re-establish the keys-mirror-arrays invariant after any mutation."""
-        self._key_index = {
-            (int(feature), float(threshold)): index
-            for index, (feature, threshold) in enumerate(
-                zip(self._features, self._thresholds)
-            )
-        }
+        #: ``(statistics key, left losses, right losses)`` of the stored
+        #: candidates as the last :meth:`observe` left them, or ``None``.
+        self._child_losses: tuple[bytes, np.ndarray, np.ndarray] | None = None
+        #: Inner quantile levels of a capped feature's proposals.
+        self._quantile_grid = np.linspace(
+            0.0, 1.0, self.max_values_per_feature + 2
+        )[1:-1]
 
     def _telemetry_counters(self):
         """Admitted/evicted counter handles, re-resolved per registry generation."""
@@ -243,15 +261,22 @@ class CandidateManager:
         return len(self._features)
 
     def __contains__(self, key: tuple[int, float]) -> bool:
-        return (int(key[0]), float(key[1])) in self._key_index
+        return self._index_of(key) is not None
 
     @property
     def candidates(self) -> list[CandidateStatistics]:
         return [self._materialize(index) for index in range(len(self))]
 
     def get(self, key: tuple[int, float]) -> CandidateStatistics | None:
-        index = self._key_index.get((int(key[0]), float(key[1])))
+        index = self._index_of(key)
         return None if index is None else self._materialize(index)
+
+    def _index_of(self, key: tuple[int, float]) -> int | None:
+        """Position of the stored candidate with exactly this key, if any."""
+        hits = np.flatnonzero(
+            (self._features == int(key[0])) & (self._thresholds == float(key[1]))
+        )
+        return int(hits[0]) if len(hits) else None
 
     def clear(self) -> None:
         width = self._gradients.shape[1]
@@ -260,7 +285,7 @@ class CandidateManager:
         self._losses = np.zeros(0, dtype=float)
         self._counts = np.zeros(0, dtype=float)
         self._gradients = np.zeros((0, width), dtype=float)
-        self._rebuild_key_index()
+        self._child_losses = None
 
     def _materialize(self, index: int) -> CandidateStatistics:
         """Per-candidate dataclass view of one row of the store (a copy)."""
@@ -282,7 +307,7 @@ class CandidateManager:
             )
         self._gradients = np.zeros((0, width), dtype=float)
 
-    # -------------------------------------------------------------- updates
+    # ------------------------------------------------------------ proposals
     def propose_thresholds(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Candidate thresholds per feature observed in the current batch.
 
@@ -304,151 +329,183 @@ class CandidateManager:
         the per-feature ``np.unique``/``np.quantile`` reference: one shared
         column sort replaces the per-feature sorts, consecutive-duplicate
         masks replace ``np.unique``, and numpy's ``linear`` quantile method
-        (virtual index ``q * (n - 1)``, two-sided lerp switching to
-        ``b - diff * (1 - gamma)`` at ``gamma >= 0.5``) is replicated as one
-        batched interpolation over every capped feature.
+        (virtual index ``q * (n - 1)``, see :func:`_lerp`) is replicated as
+        one batched interpolation over every capped feature.  A batch
+        without ties (the common case for continuous features) takes
+        :meth:`_propose_untied`.
         """
         n_rows, n_features = X.shape
         sorted_columns = np.sort(X, axis=0)
-        keep = np.empty((n_rows, n_features), dtype=bool)
-        keep[:1] = True
-        np.not_equal(sorted_columns[1:], sorted_columns[:-1], out=keep[1:])
+        distinct = sorted_columns[1:] != sorted_columns[:-1]
+        if distinct.all():
+            return self._propose_untied(sorted_columns)
+        keep = np.concatenate((np.ones((1, n_features), dtype=bool), distinct))
         counts = keep.sum(axis=0)
         # Per-feature unique values, concatenated feature-contiguously.
         flat = sorted_columns.T[keep.T]
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        capped = np.flatnonzero(counts > self.max_values_per_feature)
-        if not len(capped):
-            features = np.repeat(
-                np.arange(n_features, dtype=np.intp), counts
-            )
-            return features, flat
-        quantiles = np.linspace(0.0, 1.0, self.max_values_per_feature + 2)[1:-1]
-        virtual = quantiles[None, :] * (counts[capped, None] - 1)
+        feature_ids = np.arange(n_features, dtype=np.intp)
+        capped = counts > self.max_values_per_feature
+        if not capped.any():
+            return np.repeat(feature_ids, counts), flat
+        capped_ids = feature_ids[capped]
+        virtual = self._quantile_grid * (counts[capped_ids, None] - 1)
         previous = np.floor(virtual)
         gamma = virtual - previous
-        base = offsets[capped][:, None]
-        low = flat[base + previous.astype(np.intp)]
-        high = flat[base + np.ceil(virtual).astype(np.intp)]
-        diff = high - low
-        interpolated = low + diff * gamma
-        upper = gamma >= 0.5
-        interpolated[upper] = high[upper] - diff[upper] * (1.0 - gamma[upper])
-        keep_quantiles = np.empty_like(interpolated, dtype=bool)
-        keep_quantiles[:, :1] = True
-        np.not_equal(
-            interpolated[:, 1:], interpolated[:, :-1], out=keep_quantiles[:, 1:]
+        base = np.concatenate(([0], np.cumsum(counts)))[capped_ids][:, None]
+        quantiles = _lerp(
+            flat[base + previous.astype(np.intp)],
+            flat[base + np.ceil(virtual).astype(np.intp)],
+            gamma,
+            1.0 - gamma,
+            gamma >= 0.5,
         )
-        pieces: list[np.ndarray] = []
-        final_counts = np.empty(n_features, dtype=np.intp)
-        capped_row = {int(feature): row for row, feature in enumerate(capped)}
-        for feature in range(n_features):
-            row = capped_row.get(feature)
-            if row is None:
-                values = flat[offsets[feature] : offsets[feature + 1]]
-            else:
-                values = interpolated[row][keep_quantiles[row]]
-            pieces.append(values)
-            final_counts[feature] = len(values)
-        features = np.repeat(np.arange(n_features, dtype=np.intp), final_counts)
-        return features, np.concatenate(pieces)
+        kept = np.empty(quantiles.shape, dtype=bool)
+        kept[:, :1] = True
+        np.not_equal(quantiles[:, 1:], quantiles[:, :-1], out=kept[:, 1:])
+        features = np.concatenate(
+            (
+                np.repeat(feature_ids[~capped], counts[~capped]),
+                np.repeat(capped_ids, kept.sum(axis=1)),
+            )
+        )
+        thresholds = np.concatenate(
+            (flat[np.repeat(~capped, counts)], quantiles[kept])
+        )
+        order = np.argsort(features, kind="stable")
+        return features[order], thresholds[order]
 
-    def update_stored(
+    def _propose_untied(
+        self, sorted_columns: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_propose_concat` of a batch whose columns have no ties.
+
+        Every column then has ``n_rows`` unique values, so one interpolation
+        (value indices and weights) serves all features, in a quantile-major
+        ``(n_quantiles, n_features)`` layout.
+        """
+        n_rows, n_features = sorted_columns.shape
+        feature_ids = np.arange(n_features, dtype=np.intp)
+        if n_rows <= self.max_values_per_feature:
+            return np.repeat(feature_ids, n_rows), sorted_columns.T.ravel()
+        virtual = self._quantile_grid * (n_rows - 1)
+        previous = np.floor(virtual)
+        gamma = (virtual - previous)[:, None]
+        quantiles = _lerp(
+            sorted_columns.take(previous.astype(np.intp), axis=0),
+            sorted_columns.take(np.ceil(virtual).astype(np.intp), axis=0),
+            gamma,
+            1.0 - gamma,
+            gamma >= 0.5,
+        )
+        kept = np.empty(quantiles.shape, dtype=bool)
+        kept[:1] = True
+        np.not_equal(quantiles[1:], quantiles[:-1], out=kept[1:])
+        return (
+            np.repeat(feature_ids, kept.sum(axis=0)),
+            quantiles.T[kept.T],
+        )
+
+    def _unstored_proposals(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's proposed ``(features, thresholds)`` not yet stored."""
+        features, thresholds = self._propose_concat(X)
+        if len(self._features) and len(features):
+            # Exact (feature, threshold) matches, as in :meth:`_index_of`.
+            same_threshold = thresholds[:, None] == self._thresholds
+            if same_threshold.any():
+                duplicate = (
+                    same_threshold & (features[:, None] == self._features)
+                ).any(axis=1)
+                features = features[~duplicate]
+                thresholds = thresholds[~duplicate]
+        return features, thresholds
+
+    # --------------------------------------------------------------- update
+    def observe(
         self,
         X: np.ndarray,
-        per_sample_loss: np.ndarray,
-        per_sample_gradient: np.ndarray,
-        augmented: np.ndarray | None = None,
-    ) -> None:
-        """Accumulate the current batch into every stored candidate.
-
-        ``augmented`` optionally supplies a precomputed
-        :func:`augment_batch` matrix so one batch can feed both this method
-        and :meth:`consider_new` with a single construction.
-        """
-        if not len(self._features):
-            return
-        X = np.asarray(X, dtype=float)
-        per_sample_loss = np.asarray(per_sample_loss, dtype=float)
-        per_sample_gradient = np.asarray(per_sample_gradient, dtype=float)
-        self._ensure_width(per_sample_gradient.shape[1])
-        if augmented is None:
-            augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        masks = X[:, self._features] <= self._thresholds
-        sums = self._masked_sums(masks, augmented)
-        self._gradients += sums[:, :-1]
-        self._losses += sums[:, -1]
-        self._counts += masks.sum(axis=0)
-
-    @staticmethod
-    def _masked_sums(masks: np.ndarray, augmented: np.ndarray) -> np.ndarray:
-        """Column sums of ``augmented`` over each mask column, shape ``(k, p)``.
-
-        One einsum contraction: it accumulates rows sequentially, exactly
-        like summing each candidate's masked rows along axis 0.
-        """
-        return np.einsum("nk,np->kp", masks.astype(float), augmented)
-
-    def consider_new(
-        self,
-        X: np.ndarray,
-        per_sample_loss: np.ndarray,
-        per_sample_gradient: np.ndarray,
+        augmented: np.ndarray,
+        batch_loss: float,
+        batch_gradient: np.ndarray,
         node_loss: float,
         node_gradient: np.ndarray,
         node_count: float,
         learning_rate: float,
-        reference_loss: float | None = None,
-        augmented: np.ndarray | None = None,
     ) -> None:
-        """Propose new candidates from the current batch and admit the best.
+        """Refresh every stored candidate with a batch and admit new ones.
 
-        New candidates are scored on the current batch only (their statistics
+        ``augmented`` is the batch's :func:`augment_batch` matrix,
+        ``batch_loss`` / ``batch_gradient`` its loss and gradient sums, and
+        ``node_*`` the node statistics *including* this batch.  Stored
+        candidates accumulate the batch's left-partition statistics.  New
+        candidates are scored on the current batch only (their statistics
         start from this batch, as described in Section V-D).  They fill free
         slots first; once the store is full, a newcomer only evicts the
         weakest stored candidate when its batch gain exceeds the gain that
         candidate has accumulated so far, bounded by the replacement budget.
         """
         X = np.asarray(X, dtype=float)
-        per_sample_loss = np.asarray(per_sample_loss, dtype=float)
-        per_sample_gradient = np.asarray(per_sample_gradient, dtype=float)
-        self._ensure_width(per_sample_gradient.shape[1])
-        if augmented is None:
-            augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        batch_loss = float(per_sample_loss.sum())
-        batch_gradient = per_sample_gradient.sum(axis=0)
-        batch_count = float(len(per_sample_loss))
-
-        fresh = self._propose_fresh(X, augmented)
-        if fresh is None:
+        n_rows = len(X)
+        self._ensure_width(augmented.shape[1] - 1)
+        # Proposing first is safe: a refresh never changes the stored keys.
+        fresh_features, fresh_thresholds = self._unstored_proposals(X)
+        n_stored = len(self._features)
+        features = np.concatenate((self._features, fresh_features))
+        thresholds = np.concatenate((self._thresholds, fresh_thresholds))
+        masks = X[:, features] <= thresholds
+        column_counts = masks.sum(axis=0)
+        # A new candidate that does not separate the batch carries no
+        # information yet.
+        fresh_counts = column_counts[n_stored:]
+        informative = (fresh_counts > 0) & (fresh_counts < n_rows)
+        if not informative.all():
+            columns = np.concatenate(
+                (np.arange(n_stored), n_stored + np.flatnonzero(informative))
+            )
+            features = features[columns]
+            thresholds = thresholds[columns]
+            masks = masks[:, columns]
+            column_counts = column_counts[columns]
+        n_fresh = len(features) - n_stored
+        if not len(features):
+            self._child_losses = None
             return
-        fresh_features, fresh_thresholds, fresh_losses, fresh_gradients, fresh_counts = fresh
+        sums = self._masked_sums(masks, augmented)
+        gradients = sums[:, :-1]
+        losses = sums[:, -1]
+        counts = column_counts.astype(float)
+        gradients[:n_stored] += self._gradients
+        losses[:n_stored] += self._losses
+        counts[:n_stored] += self._counts
 
-        fresh_gains = self._gains(
-            fresh_losses,
-            fresh_gradients,
-            fresh_counts,
-            batch_loss,
-            batch_gradient,
-            batch_count,
-            learning_rate,
+        # Every stored and fresh candidate has observations (admission
+        # requires some and counts never decrease): no empty-subset guard.
+        left, right = candidate_child_losses(
+            losses, gradients, counts, node_loss, node_gradient, node_count,
+            learning_rate, assume_counts_positive=True,
         )
-
-        # Stable descending order == the stable Python sort it replaces:
-        # ties keep proposal order (feature, then threshold ascending).
-        order = np.argsort(-fresh_gains, kind="stable")
-        free_slots = max(self.max_candidates - len(self._features), 0)
-        admitted = list(order[:free_slots])
-        remaining = order[free_slots:]
-
+        admitted: list[int] = []
         evicted: list[int] = []
-        if len(remaining):
+        if n_fresh:
+            fresh_left, fresh_right = candidate_child_losses(
+                losses[n_stored:],
+                gradients[n_stored:],
+                counts[n_stored:],
+                batch_loss,
+                batch_gradient,
+                float(n_rows),
+                learning_rate,
+                assume_counts_positive=True,
+            )
+            fresh_gains = batch_loss - fresh_left - fresh_right
+            # Stable descending order == the stable Python sort it replaces:
+            # ties keep proposal order (feature, then threshold ascending).
+            order = np.argsort(-fresh_gains, kind="stable")
+            free_slots = max(self.max_candidates - n_stored, 0)
+            admitted = list(order[:free_slots])
+            remaining = order[free_slots:]
             budget = int(np.floor(self.replacement_rate * self.max_candidates))
-            if budget > 0 and len(self._features):
-                stored_gains = self._stored_gains(
-                    node_loss, node_gradient, node_count, learning_rate,
-                    reference_loss,
-                )
+            if len(remaining) and budget > 0 and n_stored:
+                stored_gains = node_loss - left[:n_stored] - right[:n_stored]
                 stored_order = np.argsort(stored_gains, kind="stable")
                 for newcomer, weakest in zip(remaining, stored_order):
                     if len(evicted) >= budget:
@@ -460,133 +517,44 @@ class CandidateManager:
                     evicted.append(int(weakest))
                     admitted.append(newcomer)
 
-        if evicted:
-            keep = np.ones(len(self._features), dtype=bool)
+        if admitted or evicted:
+            keep = np.ones(n_stored, dtype=bool)
             keep[evicted] = False
-            self._features = self._features[keep]
-            self._thresholds = self._thresholds[keep]
-            self._losses = self._losses[keep]
-            self._counts = self._counts[keep]
-            self._gradients = self._gradients[keep]
-        if admitted:
-            self._features = np.concatenate(
-                [self._features, fresh_features[admitted]]
+            rows: slice | np.ndarray = np.concatenate(
+                (np.flatnonzero(keep), n_stored + np.array(admitted, dtype=np.intp))
             )
-            self._thresholds = np.concatenate(
-                [self._thresholds, fresh_thresholds[admitted]]
-            )
-            self._losses = np.concatenate([self._losses, fresh_losses[admitted]])
-            self._counts = np.concatenate([self._counts, fresh_counts[admitted]])
-            self._gradients = np.concatenate(
-                [self._gradients, fresh_gradients[admitted]], axis=0
-            )
-        if evicted or admitted:
-            self._rebuild_key_index()
-            if TELEMETRY.enabled:
-                TELEMETRY.emit(
-                    DMT_CANDIDATES,
-                    n_admitted=len(admitted),
-                    n_evicted=len(evicted),
-                    n_stored=len(self._features),
-                )
-                admitted_total, evicted_total = self._telemetry_counters()
-                admitted_total.inc(len(admitted))
-                if evicted:
-                    evicted_total.inc(len(evicted))
-
-    def _propose_fresh(self, X: np.ndarray, augmented: np.ndarray):
-        """Statistics of the batch's informative, not-yet-stored candidates.
-
-        Returns ``None`` when the batch proposes nothing new, otherwise the
-        tuple ``(features, thresholds, losses, gradients, counts)`` in
-        proposal order (feature ascending, threshold ascending).
-        """
-        fresh_features, fresh_thresholds = self._unstored_proposals(X)
-        if not len(fresh_features):
-            return None
-        masks = X[:, fresh_features] <= fresh_thresholds
-        counts = masks.sum(axis=0)
-        # A candidate that does not separate the batch carries no
-        # information yet.
-        informative = (counts > 0) & (counts < len(X))
-        if not np.any(informative):
-            return None
-        fresh_features = fresh_features[informative]
-        fresh_thresholds = fresh_thresholds[informative]
-        masks = masks[:, informative]
-        counts = counts[informative]
-        sums = self._masked_sums(masks, augmented)
-        return (
-            fresh_features,
-            fresh_thresholds,
-            sums[:, -1],
-            sums[:, :-1],
-            counts.astype(float),
+        else:
+            rows = slice(0, n_stored)
+        self._features = features[rows]
+        self._thresholds = thresholds[rows]
+        self._losses = losses[rows]
+        self._counts = counts[rows]
+        self._gradients = gradients[rows]
+        self._child_losses = (
+            _statistics_key(node_loss, node_gradient, node_count, learning_rate),
+            left[rows],
+            right[rows],
         )
-
-    def _unstored_proposals(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The batch's proposed ``(features, thresholds)`` not yet stored."""
-        features, thresholds = self._propose_concat(X)
-        if len(self._features):
-            # Exact (feature, threshold) matches, the same comparison the
-            # key-dict lookup performs.
-            duplicate = (
-                (features[:, None] == self._features)
-                & (thresholds[:, None] == self._thresholds)
-            ).any(axis=1)
-            if duplicate.any():
-                features = features[~duplicate]
-                thresholds = thresholds[~duplicate]
-        return features, thresholds
-
-    def _stored_gains(
-        self,
-        node_loss: float,
-        node_gradient: np.ndarray,
-        node_count: float,
-        learning_rate: float,
-        reference_loss: float | None,
-    ) -> np.ndarray:
-        """Gains of every stored candidate."""
-        return self._gains(
-            self._losses,
-            self._gradients,
-            self._counts,
-            node_loss,
-            node_gradient,
-            node_count,
-            learning_rate,
-            reference_loss,
-        )
+        if (admitted or evicted) and TELEMETRY.enabled:
+            TELEMETRY.emit(
+                DMT_CANDIDATES,
+                n_admitted=len(admitted),
+                n_evicted=len(evicted),
+                n_stored=len(self._features),
+            )
+            admitted_total, evicted_total = self._telemetry_counters()
+            admitted_total.inc(len(admitted))
+            if evicted:
+                evicted_total.inc(len(evicted))
 
     @staticmethod
-    def _gains(
-        losses: np.ndarray,
-        gradients: np.ndarray,
-        counts: np.ndarray,
-        node_loss: float,
-        node_gradient: np.ndarray,
-        node_count: float,
-        learning_rate: float,
-        reference_loss: float | None = None,
-    ) -> np.ndarray:
-        """Gains of candidates with the given left-partition statistics.
+    def _masked_sums(masks: np.ndarray, augmented: np.ndarray) -> np.ndarray:
+        """Column sums of ``augmented`` over each mask column, shape ``(k, p)``.
 
-        Stored and fresh candidates always have observations (candidates are
-        only admitted with some and counts never decrease), so the sweep
-        skips its empty-subset guard on the left child.
+        One einsum contraction: it accumulates rows sequentially, exactly
+        like summing each candidate's masked rows along axis 0.
         """
-        return candidate_gain_sweep(
-            losses,
-            gradients,
-            counts,
-            node_loss=node_loss,
-            node_gradient=node_gradient,
-            node_count=node_count,
-            learning_rate=learning_rate,
-            reference_loss=reference_loss,
-            assume_counts_positive=True,
-        )
+        return np.einsum("nk,np->kp", masks.astype(float), augmented)
 
     # ---------------------------------------------------------------- query
     def best_candidate(
@@ -601,15 +569,32 @@ class CandidateManager:
         """Return the stored candidate with the highest gain and its gain.
 
         Ties keep the first-inserted candidate, as a per-candidate loop with
-        a strict ``>`` comparison would.
+        a strict ``>`` comparison would.  When the node statistics are the
+        ones the last :meth:`observe` saw, its child losses are reused.
         """
         if not len(self._features):
             return None, -np.inf
-        gains = self._stored_gains(
-            node_loss, node_gradient, node_count, learning_rate, reference_loss
-        )
+        if reference_loss is None:
+            reference_loss = node_loss
+        cached = self._child_losses
+        if cached is not None and cached[0] == _statistics_key(
+            node_loss, node_gradient, node_count, learning_rate
+        ):
+            left, right = cached[1], cached[2]
+        else:
+            left, right = candidate_child_losses(
+                self._losses,
+                self._gradients,
+                self._counts,
+                node_loss,
+                node_gradient,
+                node_count,
+                learning_rate,
+                assume_counts_positive=True,
+            )
+        gains = reference_loss - left - right
         if exclude is not None:
-            index = self._key_index.get((int(exclude[0]), float(exclude[1])))
+            index = self._index_of(exclude)
             if index is not None:
                 if len(self._features) == 1:
                     return None, -np.inf

@@ -256,9 +256,15 @@ class DynamicModelTree(StreamClassifier):
         n_model_classes = self.root.model.n_classes
         width = min(n_model_classes, self.n_classes_)
         proba = np.zeros((len(X), self.n_classes_))
-        for leaf, rows in self.root.route_batch_groups(X):
-            leaf_proba = leaf.model.predict_proba(X[rows])
-            proba[rows, :width] = leaf_proba[:, :width]
+        groups = self.root.route_batch_groups(X)
+        if len(groups) == 1:
+            # One leaf receives every row: score the batch as it is, with no
+            # row gather or scatter.
+            proba[:, :width] = groups[0][0].model.predict_proba(X)[:, :width]
+        else:
+            for leaf, rows in groups:
+                leaf_proba = leaf.model.predict_proba(X[rows])
+                proba[rows, :width] = leaf_proba[:, :width]
         # If fewer classes were observed than the model supports (binary
         # GLM always emits two columns), renormalise over the observed
         # classes.

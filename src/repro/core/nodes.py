@@ -111,8 +111,9 @@ class DMTNode:
         """Algorithm 1, lines 1-17 for a single node.
 
         Accumulates the node loss / gradient / count using the simple-model
-        parameters from *before* this batch (test-then-train), refreshes the
-        stored candidate statistics with the same per-sample gradients, and
+        parameters from *before* this batch (test-then-train), passes the
+        same per-sample losses and gradients to the candidate store (one
+        refresh-and-admit pass, :meth:`CandidateManager.observe`), and
         finally trains the simple model with instance-incremental SGD.
         """
         X_aug = self.model.augment(X)
@@ -127,19 +128,15 @@ class DMTNode:
         self.gradient = self.gradient + batch_gradient
         self.count += float(len(y))
 
-        augmented = augment_batch(per_sample_loss, per_sample_gradient)
-        self.candidates.update_stored(
-            X, per_sample_loss, per_sample_gradient, augmented=augmented
-        )
-        self.candidates.consider_new(
+        self.candidates.observe(
             X,
-            per_sample_loss,
-            per_sample_gradient,
+            augment_batch(per_sample_loss, per_sample_gradient),
+            batch_loss=batch_loss,
+            batch_gradient=batch_gradient,
             node_loss=self.loss,
             node_gradient=self.gradient,
             node_count=self.count,
             learning_rate=learning_rate,
-            augmented=augmented,
         )
 
         # Instance-incremental SGD: one constant-learning-rate step per

@@ -186,8 +186,7 @@ class ADWIN(BaseDriftDetector):
 
         The scan terms that are constant for one pass (the window variance
         and the ``log(2 / δ')`` factor of the Hoeffding/Bernstein bound) are
-        hoisted out of the per-cut expression; the arithmetic per cut point
-        is unchanged (see :meth:`_cut_expression`, kept as the reference).
+        hoisted out of the per-cut expression.
         """
         change_detected = False
         keep_checking = True
@@ -228,21 +227,6 @@ class ADWIN(BaseDriftDetector):
                 if keep_checking:
                     break
         return change_detected
-
-    def _cut_expression(
-        self, n0: float, n1: float, mean0: float, mean1: float
-    ) -> bool:
-        total_n = float(self.width)
-        if total_n <= 1:
-            return False
-        harmonic = 1.0 / n0 + 1.0 / n1
-        delta_prime = self.delta / math.log(max(total_n, math.e))
-        window_variance = self.variance / self.width
-        m = 1.0 / harmonic
-        epsilon = math.sqrt(
-            (2.0 / m) * window_variance * math.log(2.0 / delta_prime)
-        ) + (2.0 / (3.0 * m)) * math.log(2.0 / delta_prime)
-        return abs(mean0 - mean1) > epsilon
 
     def _drop_oldest_bucket(self) -> None:
         for row_idx in range(len(self._rows) - 1, -1, -1):

@@ -19,6 +19,8 @@ intercept.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.utils.validation import check_positive, check_random_state
@@ -29,13 +31,16 @@ _PROBA_EPS = 1e-12
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=float)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic function.
+
+    ``exp(-|z|)`` never overflows, and it is the exponential of either half
+    of the piecewise formula (``-|z|`` is exactly ``-z`` for ``z >= 0`` and
+    ``z`` otherwise): ``1 / (1 + exp(-z))`` for ``z >= 0``,
+    ``exp(z) / (1 + exp(z))`` below.
+    """
+    exp_neg = np.exp(-np.abs(z))
+    denominator = 1.0 + exp_neg
+    return np.where(z >= 0, 1.0 / denominator, exp_neg / denominator)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -96,7 +101,7 @@ class IncrementalGLM:
     @property
     def n_parameters(self) -> int:
         """Number of free parameters ``k`` (used by the AIC threshold)."""
-        return int(np.prod(self._weight_shape()))
+        return math.prod(self._weight_shape())
 
     def clone(self, warm_start: bool = True, rng=None) -> "IncrementalGLM":
         """Return a copy of this model.
@@ -285,19 +290,18 @@ class IncrementalGLM:
             # buffer: multiplication is commutative and in-place subtraction
             # performs the same IEEE operation, so the weight trace matches
             # out-of-place updates bit for bit with zero per-row
-            # allocations.
+            # allocations.  The scalar tail runs on Python floats (the same
+            # IEEE doubles); the dot product and ``np.exp`` stay numpy's.
             weights = self.weights.copy()
             step = np.empty_like(weights)
-            for row in range(len(X_aug)):
-                x = X_aug[row]
-                score = x @ weights
-                if score >= 0:
-                    p_one = 1.0 / (1.0 + np.exp(-score))
+            for x, label in zip(X_aug, y.tolist()):
+                score = float(x @ weights)
+                if score >= 0.0:
+                    p_one = 1.0 / (1.0 + float(np.exp(-score)))
                 else:
-                    exp_score = np.exp(score)
+                    exp_score = float(np.exp(score))
                     p_one = exp_score / (1.0 + exp_score)
-                error = p_one - (1.0 if y[row] == 1 else 0.0)
-                np.multiply(x, error, out=step)
+                np.multiply(x, p_one - (1.0 if label == 1 else 0.0), out=step)
                 step *= learning_rate
                 weights -= step
             self.weights = weights

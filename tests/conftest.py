@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.candidates import augment_batch
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -53,3 +55,26 @@ def xor_data():
 @pytest.fixture
 def multiclass_blobs():
     return make_multiclass_blobs(600, seed=5)
+
+
+def observe_batch(
+    manager,
+    X,
+    per_sample_loss,
+    per_sample_gradient,
+    node_loss,
+    node_gradient,
+    node_count,
+    learning_rate=0.05,
+):
+    """Feed one batch to a candidate store the way ``DMTNode`` does."""
+    manager.observe(
+        X,
+        augment_batch(per_sample_loss, per_sample_gradient),
+        batch_loss=float(per_sample_loss.sum()),
+        batch_gradient=per_sample_gradient.sum(axis=0),
+        node_loss=node_loss,
+        node_gradient=node_gradient,
+        node_count=node_count,
+        learning_rate=learning_rate,
+    )

@@ -1,8 +1,9 @@
 """Reference paths of the DMT kernels: candidates, leaf models, inference.
 
 * :class:`ReferenceCandidateManager` -- per-feature ``np.unique`` /
-  ``np.quantile`` proposals, one Python-loop mask per candidate and one
-  scalar gain (:func:`candidate_gain`) per candidate.
+  ``np.quantile`` proposals, and a separate refresh and admission step with
+  one Python-loop mask and one scalar gain (:func:`candidate_gain`) per
+  candidate.
 * :class:`ReferenceGLM` -- one full :meth:`~IncrementalGLM.gradient` call per
   observation in ``fit_incremental``.
 * :class:`ReferenceNaiveBayes` -- one log-likelihood reduction per class.
@@ -70,15 +71,16 @@ def candidate_gain(
     return split_gain(reference_loss, left_loss, right_loss)
 
 
-@overrides(
-    CandidateManager,
-    "propose_thresholds",
-    "_unstored_proposals",
-    "_masked_sums",
-    "_gains",
-)
+@overrides(CandidateManager, "propose_thresholds", "observe", "best_candidate")
 class ReferenceCandidateManager(CandidateManager):
-    """Candidate store that scores and accumulates one candidate at a time."""
+    """Candidate store that refreshes, scores and admits one candidate at a time.
+
+    :meth:`observe` is the two-step update the production store fuses: every
+    stored candidate first accumulates the batch through its own masked row
+    sum, then the batch's new proposals are masked, summed and scored one by
+    one.  Every gain is a scalar :func:`candidate_gain`, and no gain or child
+    loss is carried from one call to the next.
+    """
 
     def propose_thresholds(self, X: np.ndarray) -> dict[int, np.ndarray]:
         """Per-feature ``np.unique``, capped by ``np.quantile``."""
@@ -96,27 +98,113 @@ class ReferenceCandidateManager(CandidateManager):
             proposals[feature] = values
         return proposals
 
-    def _unstored_proposals(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        features: list[int] = []
-        thresholds: list[float] = []
-        for feature, values in self.propose_thresholds(X).items():
-            for value in values:
-                if (feature, float(value)) in self._key_index:
-                    continue
-                features.append(feature)
-                thresholds.append(float(value))
-        return np.array(features, dtype=np.intp), np.array(thresholds, dtype=float)
+    def observe(
+        self,
+        X: np.ndarray,
+        augmented: np.ndarray,
+        batch_loss: float,
+        batch_gradient: np.ndarray,
+        node_loss: float,
+        node_gradient: np.ndarray,
+        node_count: float,
+        learning_rate: float,
+    ) -> None:
+        X = np.asarray(X, dtype=float)
+        self._ensure_width(augmented.shape[1] - 1)
+        stored_masks = X[:, self._features] <= self._thresholds
+        for index in range(len(self)):
+            sums = augmented[stored_masks[:, index]].sum(axis=0)
+            self._gradients[index] += sums[:-1]
+            self._losses[index] += sums[-1]
+        self._counts += stored_masks.sum(axis=0)
+
+        stored_keys = set(zip(self._features.tolist(), self._thresholds.tolist()))
+        proposals = [
+            (feature, float(value))
+            for feature, values in self.propose_thresholds(X).items()
+            for value in values
+            if (feature, float(value)) not in stored_keys
+        ]
+        fresh_features = np.array([key[0] for key in proposals], dtype=np.intp)
+        fresh_thresholds = np.array([key[1] for key in proposals], dtype=float)
+        masks = X[:, fresh_features] <= fresh_thresholds
+        counts = masks.sum(axis=0)
+        # A new candidate that does not separate the batch carries no
+        # information yet.
+        informative = np.flatnonzero((counts > 0) & (counts < len(X)))
+        if not len(informative):
+            return
+        fresh_features = fresh_features[informative]
+        fresh_thresholds = fresh_thresholds[informative]
+        fresh_counts = counts[informative].astype(float)
+        fresh_sums = np.array(
+            [augmented[masks[:, index]].sum(axis=0) for index in informative]
+        )
+        fresh_losses = fresh_sums[:, -1]
+        fresh_gradients = fresh_sums[:, :-1]
+        fresh_gains = self._scalar_gains(
+            fresh_losses, fresh_gradients, fresh_counts,
+            batch_loss, batch_gradient, float(len(X)), learning_rate,
+        )
+        order = sorted(range(len(fresh_gains)), key=lambda index: -fresh_gains[index])
+        n_stored = len(self)
+        free_slots = max(self.max_candidates - n_stored, 0)
+        admitted = order[:free_slots]
+        evicted: list[int] = []
+        budget = int(np.floor(self.replacement_rate * self.max_candidates))
+        if len(order) > free_slots and budget > 0 and n_stored:
+            stored_gains = self._scalar_gains(
+                self._losses, self._gradients, self._counts,
+                node_loss, node_gradient, node_count, learning_rate,
+            )
+            weakest_first = sorted(range(n_stored), key=stored_gains.__getitem__)
+            for newcomer, weakest in zip(order[free_slots:], weakest_first):
+                if len(evicted) >= budget:
+                    break
+                if fresh_gains[newcomer] <= stored_gains[weakest]:
+                    break
+                evicted.append(weakest)
+                admitted.append(newcomer)
+        keep = np.ones(n_stored, dtype=bool)
+        keep[evicted] = False
+        self._features = np.concatenate(
+            (self._features[keep], fresh_features[admitted])
+        )
+        self._thresholds = np.concatenate(
+            (self._thresholds[keep], fresh_thresholds[admitted])
+        )
+        self._losses = np.concatenate((self._losses[keep], fresh_losses[admitted]))
+        self._counts = np.concatenate((self._counts[keep], fresh_counts[admitted]))
+        self._gradients = np.concatenate(
+            (self._gradients[keep], fresh_gradients[admitted])
+        )
+
+    def best_candidate(
+        self,
+        node_loss: float,
+        node_gradient: np.ndarray,
+        node_count: float,
+        learning_rate: float,
+        reference_loss: float | None = None,
+        exclude: tuple[int, float] | None = None,
+    ) -> tuple[CandidateStatistics | None, float]:
+        gains = self._scalar_gains(
+            self._losses, self._gradients, self._counts,
+            node_loss, node_gradient, node_count, learning_rate, reference_loss,
+        )
+        best, best_gain = None, -np.inf
+        for index, gain in enumerate(gains):
+            key = (int(self._features[index]), float(self._thresholds[index]))
+            if key == exclude:
+                continue
+            if gain > best_gain:
+                best, best_gain = index, gain
+        if best is None:
+            return None, -np.inf
+        return self._materialize(best), best_gain
 
     @staticmethod
-    def _masked_sums(masks: np.ndarray, augmented: np.ndarray) -> np.ndarray:
-        """One Python-loop mask per candidate, summed along axis 0."""
-        sums = np.zeros((masks.shape[1], augmented.shape[1]))
-        for index in range(masks.shape[1]):
-            sums[index] = augmented[masks[:, index]].sum(axis=0)
-        return sums
-
-    @staticmethod
-    def _gains(
+    def _scalar_gains(
         losses: np.ndarray,
         gradients: np.ndarray,
         counts: np.ndarray,
@@ -125,26 +213,25 @@ class ReferenceCandidateManager(CandidateManager):
         node_count: float,
         learning_rate: float,
         reference_loss: float | None = None,
-    ) -> np.ndarray:
-        return np.array(
-            [
-                candidate_gain(
-                    CandidateStatistics(
-                        feature=0,
-                        threshold=0.0,
-                        loss=float(losses[index]),
-                        gradient=gradients[index],
-                        count=float(counts[index]),
-                    ),
-                    node_loss=node_loss,
-                    node_gradient=node_gradient,
-                    node_count=node_count,
-                    learning_rate=learning_rate,
-                    reference_loss=reference_loss,
-                )
-                for index in range(len(losses))
-            ]
-        )
+    ) -> list[float]:
+        """One scalar :func:`candidate_gain` per candidate row."""
+        return [
+            candidate_gain(
+                CandidateStatistics(
+                    feature=0,
+                    threshold=0.0,
+                    loss=float(losses[index]),
+                    gradient=gradients[index],
+                    count=float(counts[index]),
+                ),
+                node_loss,
+                node_gradient,
+                node_count,
+                learning_rate,
+                reference_loss,
+            )
+            for index in range(len(losses))
+        ]
 
 
 @overrides(IncrementalGLM, "fit_incremental")

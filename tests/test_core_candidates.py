@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro.core.candidates import (
     CandidateManager,
     CandidateStatistics,
-    candidate_gain_sweep,
+    candidate_child_losses,
 )
+from tests.conftest import observe_batch
 
 
 def _make_batch(n=40, n_features=3, seed=0, n_classes=2):
@@ -20,50 +21,50 @@ def _make_batch(n=40, n_features=3, seed=0, n_classes=2):
     return X, per_sample_loss, per_sample_gradient
 
 
-def _gain(candidate, node_loss, node_gradient, node_count, learning_rate, **kwargs):
-    """Gain of one candidate through the production sweep."""
-    return float(
-        candidate_gain_sweep(
-            np.array([candidate.loss]),
-            candidate.gradient[None, :],
-            np.array([candidate.count]),
-            node_loss,
-            np.asarray(node_gradient, dtype=float),
-            node_count,
-            learning_rate,
-            **kwargs,
-        )[0]
+def _gain(
+    candidate, node_loss, node_gradient, node_count, learning_rate,
+    reference_loss=None,
+):
+    """Gain of one candidate from the production child losses."""
+    left, right = candidate_child_losses(
+        np.array([candidate.loss]),
+        candidate.gradient[None, :],
+        np.array([candidate.count]),
+        node_loss,
+        np.asarray(node_gradient, dtype=float),
+        node_count,
+        learning_rate,
     )
+    if reference_loss is None:
+        reference_loss = node_loss
+    return float(reference_loss - left[0] - right[0])
 
 
 class TestCandidateStatistics:
-    def test_add_accumulates(self):
-        candidate = CandidateStatistics(feature=0, threshold=0.5)
-        candidate.add(1.0, np.array([1.0, 2.0]), 3)
-        candidate.add(2.0, np.array([0.5, 0.5]), 2)
-        assert candidate.loss == pytest.approx(3.0)
-        np.testing.assert_allclose(candidate.gradient, [1.5, 2.5])
-        assert candidate.count == 5
-
     def test_gain_uses_right_child_complement(self):
         """Right-child statistics are parent minus left (Algorithm 1 note)."""
-        candidate = CandidateStatistics(feature=0, threshold=0.5)
-        candidate.add(2.0, np.array([1.0, 0.0]), 5)
+        candidate = CandidateStatistics(
+            feature=0, threshold=0.5, loss=2.0, gradient=np.array([1.0, 0.0]),
+            count=5.0,
+        )
         node_loss, node_grad, node_count = 6.0, np.array([1.0, 3.0]), 12
         gain = _gain(candidate, node_loss, node_grad, node_count, learning_rate=0.0)
         # With lr = 0 the approximation keeps the raw losses: left = 2, right = 4.
         assert gain == pytest.approx(6.0 - 2.0 - 4.0)
 
     def test_gain_with_gradient_is_larger(self):
-        candidate = CandidateStatistics(feature=0, threshold=0.5)
-        candidate.add(2.0, np.array([2.0, 0.0]), 5)
+        candidate = CandidateStatistics(
+            feature=0, threshold=0.5, loss=2.0, gradient=np.array([2.0, 0.0]),
+            count=5.0,
+        )
         base = _gain(candidate, 6.0, np.array([2.0, 2.0]), 12, learning_rate=0.0)
         improved = _gain(candidate, 6.0, np.array([2.0, 2.0]), 12, learning_rate=0.1)
         assert improved >= base
 
     def test_gain_against_reference_loss(self):
-        candidate = CandidateStatistics(feature=0, threshold=0.5)
-        candidate.add(2.0, np.zeros(2), 5)
+        candidate = CandidateStatistics(
+            feature=0, threshold=0.5, loss=2.0, gradient=np.zeros(2), count=5.0
+        )
         gain = _gain(
             candidate, 6.0, np.zeros(2), 12, learning_rate=0.0, reference_loss=20.0
         )
@@ -89,9 +90,8 @@ class TestCandidateManagerBounds:
         manager = CandidateManager(n_features=3, max_candidates=5)
         for seed in range(10):
             X, loss, grad = _make_batch(seed=seed)
-            manager.update_stored(X, loss, grad)
-            manager.consider_new(
-                X, loss, grad,
+            observe_batch(
+                manager, X, loss, grad,
                 node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
                 node_count=len(loss), learning_rate=0.05,
             )
@@ -109,8 +109,9 @@ class TestCandidateManagerBounds:
         X = np.full((20, 1), 0.5)
         loss = np.ones(20)
         grad = np.ones((20, 3))
-        manager.consider_new(
-            X, loss, grad, node_loss=20.0, node_gradient=grad.sum(axis=0),
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=20.0, node_gradient=grad.sum(axis=0),
             node_count=20, learning_rate=0.05,
         )
         assert len(manager) == 0
@@ -120,15 +121,16 @@ class TestCandidateManagerBounds:
             n_features=3, max_candidates=6, replacement_rate=0.5
         )
         X, loss, grad = _make_batch(seed=1)
-        manager.consider_new(
-            X, loss, grad, node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
             node_count=len(loss), learning_rate=0.05,
         )
         before_keys = set(candidate.key for candidate in manager.candidates)
         X2, loss2, grad2 = _make_batch(seed=99)
-        manager.update_stored(X2, loss2, grad2)
-        manager.consider_new(
-            X2, loss2, grad2, node_loss=loss2.sum(), node_gradient=grad2.sum(axis=0),
+        observe_batch(
+            manager, X2, loss2, grad2,
+            node_loss=loss2.sum(), node_gradient=grad2.sum(axis=0),
             node_count=len(loss2), learning_rate=0.05,
         )
         after_keys = set(candidate.key for candidate in manager.candidates)
@@ -138,7 +140,7 @@ class TestCandidateManagerBounds:
     def test_low_gain_newcomers_do_not_evict_high_gain_candidates(self):
         """Regression: a full store must not be churned by weak newcomers.
 
-        ``consider_new`` used to replace the weakest stored candidates
+        Admission used to replace the weakest stored candidates
         unconditionally, so a batch of near-zero-gain newcomers evicted
         stored candidates with large accumulated gains whenever the store
         was full (Section V-D semantics).  A newcomer must now beat the
@@ -155,8 +157,9 @@ class TestCandidateManagerBounds:
         grad = rng.normal(size=(60, 3)) * 5.0
         node_loss = float(loss.sum())
         node_grad = grad.sum(axis=0)
-        manager.consider_new(
-            X, loss, grad, node_loss=node_loss, node_gradient=node_grad,
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=node_loss, node_gradient=node_grad,
             node_count=60.0, learning_rate=0.05,
         )
         assert len(manager) == 4
@@ -172,9 +175,8 @@ class TestCandidateManagerBounds:
         X_new = rng.uniform(10.0, 11.0, size=(60, 1))
         loss_new = np.full(60, 1e-9)
         grad_new = np.full((60, 3), 1e-9)
-        manager.update_stored(X_new, loss_new, grad_new)
-        manager.consider_new(
-            X_new, loss_new, grad_new,
+        observe_batch(
+            manager, X_new, loss_new, grad_new,
             node_loss=node_loss + float(loss_new.sum()),
             node_gradient=node_grad + grad_new.sum(axis=0),
             node_count=120.0, learning_rate=0.05,
@@ -191,8 +193,9 @@ class TestCandidateManagerBounds:
         X = rng.uniform(size=(40, 1))
         loss = np.full(40, 1e-9)
         grad = np.full((40, 3), 1e-9)
-        manager.consider_new(
-            X, loss, grad, node_loss=float(loss.sum()),
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=float(loss.sum()),
             node_gradient=grad.sum(axis=0), node_count=40.0, learning_rate=0.05,
         )
         assert len(manager) == 4
@@ -201,9 +204,8 @@ class TestCandidateManagerBounds:
         X_new = rng.uniform(10.0, 11.0, size=(40, 1))
         loss_new = rng.uniform(5.0, 10.0, size=40)
         grad_new = rng.normal(size=(40, 3)) * 5.0
-        manager.update_stored(X_new, loss_new, grad_new)
-        manager.consider_new(
-            X_new, loss_new, grad_new,
+        observe_batch(
+            manager, X_new, loss_new, grad_new,
             node_loss=float(loss.sum() + loss_new.sum()),
             node_gradient=grad.sum(axis=0) + grad_new.sum(axis=0),
             node_count=80.0, learning_rate=0.05,
@@ -213,8 +215,9 @@ class TestCandidateManagerBounds:
     def test_clear_empties_store(self):
         manager = CandidateManager(n_features=3)
         X, loss, grad = _make_batch()
-        manager.consider_new(
-            X, loss, grad, node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
             node_count=len(loss), learning_rate=0.05,
         )
         assert len(manager) > 0
@@ -226,8 +229,9 @@ class TestCandidateManagerQueries:
     def test_best_candidate_returns_highest_gain(self):
         manager = CandidateManager(n_features=2, max_candidates=10)
         X, loss, grad = _make_batch(seed=3)
-        manager.consider_new(
-            X, loss, grad, node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
             node_count=len(loss), learning_rate=0.05,
         )
         best, best_gain = manager.best_candidate(
@@ -244,8 +248,9 @@ class TestCandidateManagerQueries:
     def test_best_candidate_respects_exclusion(self):
         manager = CandidateManager(n_features=2, max_candidates=10)
         X, loss, grad = _make_batch(seed=3)
-        manager.consider_new(
-            X, loss, grad, node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
+        observe_batch(
+            manager, X, loss, grad,
+            node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
             node_count=len(loss), learning_rate=0.05,
         )
         best, _ = manager.best_candidate(
@@ -274,9 +279,9 @@ class TestCandidateManagerQueries:
         total = 0
         for batch_seed in (seed, seed + 1):
             X, loss, grad = _make_batch(n=30, n_features=2, seed=batch_seed)
-            manager.update_stored(X, loss, grad)
-            manager.consider_new(
-                X, loss, grad, node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
+            observe_batch(
+                manager, X, loss, grad,
+                node_loss=loss.sum(), node_gradient=grad.sum(axis=0),
                 node_count=30, learning_rate=0.05,
             )
             total += 30

@@ -19,6 +19,28 @@ class TestLinkFunctions:
         assert out[0] == pytest.approx(0.0)
         assert out[1] == pytest.approx(1.0)
 
+    def test_sigmoid_bitwise_matches_piecewise_formula(self):
+        """``exp(-|z|)`` reproduces both halves of the piecewise formula.
+
+        Overflow, division by zero and invalid operations raise; underflow
+        does not, because ``exp(-|z|)`` is rightly subnormal or zero for
+        ``|z| >~ 708``.
+        """
+        z = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8, 745.2, -745.2,
+             1e308, -1e308, np.inf, -np.inf]
+        )
+        with np.errstate(all="raise", under="ignore"):
+            expected = np.empty_like(z)
+            positive = z >= 0
+            expected[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+            exp_z = np.exp(z[~positive])
+            expected[~positive] = exp_z / (1.0 + exp_z)
+            out = _sigmoid(z)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
     def test_softmax_rows_sum_to_one(self):
         scores = np.array([[1.0, 2.0, 3.0], [1000.0, 1000.0, 1000.0]])
         proba = _softmax(scores)

@@ -6,7 +6,8 @@ single-row and constant-feature batches), binary and multiclass:
 
 * ``CandidateManager`` batch accumulation + admission vs
   ``ReferenceCandidateManager`` (per-candidate loops),
-* the ``candidate_gain_sweep`` against the scalar ``candidate_gain``,
+* the gains from ``candidate_child_losses`` against the scalar
+  ``candidate_gain``,
 * ``IncrementalGLM.fit_incremental`` vs ``ReferenceGLM`` (per-row loop),
 * the full ``DynamicModelTree`` training loop vs
   ``ReferenceDynamicModelTree``, including the prequential
@@ -14,6 +15,7 @@ single-row and constant-feature batches), binary and multiclass:
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +23,12 @@ from repro.core import DynamicModelTree
 from repro.core.candidates import (
     CandidateManager,
     CandidateStatistics,
-    candidate_gain_sweep,
+    candidate_child_losses,
 )
 from repro.evaluation.prequential import PrequentialEvaluator
 from repro.linear.glm import IncrementalGLM
 from repro.streams.synthetic import SEAGenerator
-from tests.conftest import make_multiclass_blobs, make_xor
+from tests.conftest import make_multiclass_blobs, make_xor, observe_batch
 from tests.oracles.dmt import (
     ReferenceCandidateManager,
     ReferenceDynamicModelTree,
@@ -46,16 +48,26 @@ def _batch_schedule(rng, total, max_batch=60):
     return sizes
 
 
-def _random_batches(seed, total=300, n_features=3, n_params=5, constant_feature=False):
+def _random_batches(
+    seed,
+    total=300,
+    n_features=3,
+    n_params=5,
+    constant_feature=False,
+    tied_feature=False,
+    max_batch=60,
+):
     rng = np.random.default_rng(seed)
     X = rng.uniform(size=(total, n_features))
     if constant_feature:
         X[:, 0] = 0.5
+    if tied_feature:
+        X[:, 1] = np.round(X[:, 1] * 4.0) / 4.0
     loss = rng.uniform(0.05, 2.0, size=total)
     grad = rng.normal(size=(total, n_params))
     batches = []
     start = 0
-    for size in _batch_schedule(rng, total):
+    for size in _batch_schedule(rng, total, max_batch=max_batch):
         batches.append(
             (X[start : start + size], loss[start : start + size], grad[start : start + size])
         )
@@ -75,57 +87,148 @@ def _manager_state(manager):
 
 def _assert_managers_identical(fast, slow):
     for fast_field, slow_field in zip(_manager_state(fast), _manager_state(slow)):
-        np.testing.assert_array_equal(fast_field, slow_field)
-    assert fast._key_index == slow._key_index
+        assert fast_field.dtype == slow_field.dtype
+        assert fast_field.shape == slow_field.shape
+        assert fast_field.tobytes() == slow_field.tobytes()
+    keys = list(zip(fast._features.tolist(), fast._thresholds.tolist()))
+    assert keys == [candidate.key for candidate in slow.candidates]
+    assert all(key in fast and fast.get(key).key == key for key in keys)
+
+
+def _assert_same_best(fast, slow):
+    assert (fast[0] is None) == (slow[0] is None)
+    assert np.float64(fast[1]).tobytes() == np.float64(slow[1]).tobytes()
+    if fast[0] is not None:
+        assert fast[0].key == slow[0].key
+        assert fast[0].gradient.tobytes() == slow[0].gradient.tobytes()
+
+
+def _drive(fast, slow, batches, learning_rate=0.05):
+    """Feed both stores the same batches and compare them after each one.
+
+    After every batch both stores also take the two split decisions a DMT
+    node takes: the leaf's (gain against the node loss, with the child
+    losses the production store kept from ``observe``) and an inner node's
+    (gain against a subtree loss, excluding the current split).  A third
+    query with other node statistics cannot reuse the kept child losses.
+    Returns the number of stored candidates evicted along the way.
+    """
+    node_loss, node_count = 0.0, 0.0
+    node_grad = np.zeros(batches[0][2].shape[1])
+    evictions = 0
+    for X, loss, grad in batches:
+        node_loss += float(loss.sum())
+        node_grad = node_grad + grad.sum(axis=0)
+        node_count += float(len(loss))
+        before = {candidate.key for candidate in slow.candidates}
+        for manager in (fast, slow):
+            observe_batch(
+                manager, X, loss, grad, node_loss, node_grad, node_count,
+                learning_rate,
+            )
+        evictions += len(before - {candidate.key for candidate in slow.candidates})
+        _assert_managers_identical(fast, slow)
+        leaf = [
+            manager.best_candidate(node_loss, node_grad, node_count, learning_rate)
+            for manager in (fast, slow)
+        ]
+        _assert_same_best(*leaf)
+        exclude = None if leaf[0][0] is None else leaf[0][0].key
+        inner = [
+            manager.best_candidate(
+                node_loss, node_grad, node_count, learning_rate,
+                reference_loss=0.9 * node_loss, exclude=exclude,
+            )
+            for manager in (fast, slow)
+        ]
+        _assert_same_best(*inner)
+        other = [
+            manager.best_candidate(
+                node_loss + 1.0, node_grad, node_count + 1.0, learning_rate
+            )
+            for manager in (fast, slow)
+        ]
+        _assert_same_best(*other)
+    return evictions
 
 
 class TestCandidateManagerEquivalence:
     @settings(max_examples=15, deadline=None)
-    @given(seed=st.integers(0, 10_000), constant=st.booleans())
-    def test_accumulation_and_admission_bit_identical(self, seed, constant):
-        fast = CandidateManager(n_features=3, max_candidates=7)
-        slow = ReferenceCandidateManager(n_features=3, max_candidates=7)
-        node_loss, node_count = 0.0, 0.0
-        node_grad = np.zeros(5)
-        for X, loss, grad in _random_batches(seed, constant_feature=constant):
-            node_loss += float(loss.sum())
-            node_grad = node_grad + grad.sum(axis=0)
-            node_count += float(len(loss))
-            for manager in (fast, slow):
-                manager.update_stored(X, loss, grad)
-                manager.consider_new(
-                    X, loss, grad,
-                    node_loss=node_loss, node_gradient=node_grad,
-                    node_count=node_count, learning_rate=0.05,
-                )
-            _assert_managers_identical(fast, slow)
-            best_fast = fast.best_candidate(node_loss, node_grad, node_count, 0.05)
-            best_slow = slow.best_candidate(node_loss, node_grad, node_count, 0.05)
-            assert (best_fast[0] is None) == (best_slow[0] is None)
-            if best_fast[0] is not None:
-                assert best_fast[0].key == best_slow[0].key
-                assert best_fast[1] == best_slow[1]
+    @given(
+        seed=st.integers(0, 10_000),
+        constant=st.booleans(),
+        tied=st.booleans(),
+        max_values=st.sampled_from([3, 10]),
+    )
+    def test_accumulation_and_admission_bit_identical(
+        self, seed, constant, tied, max_values
+    ):
+        """Batch sizes run from 1 to twice the per-feature proposal cap."""
+        fast = CandidateManager(
+            n_features=3, max_candidates=7, max_values_per_feature=max_values
+        )
+        slow = ReferenceCandidateManager(
+            n_features=3, max_candidates=7, max_values_per_feature=max_values
+        )
+        batches = _random_batches(
+            seed, constant_feature=constant, tied_feature=tied,
+            max_batch=2 * max_values + 1,
+        )
+        _drive(fast, slow, batches)
+
+    def test_full_store_with_evictions_bit_identical(self):
+        """Later batches carry larger losses, so newcomers evict stored ones."""
+        fast = CandidateManager(n_features=3, max_candidates=4, replacement_rate=1.0)
+        slow = ReferenceCandidateManager(
+            n_features=3, max_candidates=4, replacement_rate=1.0
+        )
+        batches = [
+            (X, loss * (1.0 + index), grad * (1.0 + index))
+            for index, (X, loss, grad) in enumerate(
+                _random_batches(5, total=400, tied_feature=True, max_batch=30)
+            )
+        ]
+        assert _drive(fast, slow, batches) > 0
+        assert len(fast) == 4
 
     def test_single_row_batches_bit_identical(self):
         fast = CandidateManager(n_features=2, max_candidates=4)
         slow = ReferenceCandidateManager(n_features=2, max_candidates=4)
         rng = np.random.default_rng(11)
-        node_loss, node_count, node_grad = 0.0, 0.0, np.zeros(3)
-        for _ in range(40):
-            X = rng.uniform(size=(1, 2))
-            loss = rng.uniform(0.1, 1.0, size=1)
-            grad = rng.normal(size=(1, 3))
-            node_loss += float(loss.sum())
-            node_grad = node_grad + grad.sum(axis=0)
-            node_count += 1.0
-            for manager in (fast, slow):
-                manager.update_stored(X, loss, grad)
-                manager.consider_new(
-                    X, loss, grad,
-                    node_loss=node_loss, node_gradient=node_grad,
-                    node_count=node_count, learning_rate=0.05,
-                )
-        _assert_managers_identical(fast, slow)
+        batches = [
+            (
+                rng.uniform(size=(1, 2)),
+                rng.uniform(0.1, 1.0, size=1),
+                rng.normal(size=(1, 3)),
+            )
+            for _ in range(40)
+        ]
+        _drive(fast, slow, batches)
+
+
+class TestProposalEquivalence:
+    @pytest.mark.parametrize("columns", ["untied", "ulp", "tied", "constant"])
+    @pytest.mark.parametrize("max_values", [1, 4, 10])
+    def test_proposals_bit_identical(self, columns, max_values):
+        """Every batch size from 1 to twice the cap, tied and untied columns."""
+        fast = CandidateManager(n_features=3, max_values_per_feature=max_values)
+        slow = ReferenceCandidateManager(
+            n_features=3, max_values_per_feature=max_values
+        )
+        rng = np.random.default_rng(max_values)
+        for n_rows in range(1, 2 * max_values + 1):
+            X = rng.normal(size=(n_rows, 3))
+            if columns == "ulp":
+                # Neighbouring doubles: untied, yet quantiles coincide.
+                X[:, 0] = 1.0 + rng.permutation(n_rows) * np.spacing(1.0)
+            elif columns == "tied":
+                X[:, 1] = np.round(X[:, 1])
+            elif columns == "constant":
+                X[:, 2] = -0.0
+            expected = slow.propose_thresholds(X)
+            proposals = fast.propose_thresholds(X)
+            for feature in range(3):
+                assert proposals[feature].tobytes() == expected[feature].tobytes()
 
 
 class TestGainSweepEquivalence:
@@ -141,10 +244,10 @@ class TestGainSweepEquivalence:
         node_grad = rng.normal(size=p)
         node_count = float(counts.sum() + rng.integers(1, 20))
         reference_loss = float(rng.uniform(0.0, 20.0))
-        swept = candidate_gain_sweep(
-            losses, gradients, counts,
-            node_loss, node_grad, node_count, 0.05, reference_loss,
+        left, right = candidate_child_losses(
+            losses, gradients, counts, node_loss, node_grad, node_count, 0.05
         )
+        swept = reference_loss - left - right
         for index in range(k):
             scalar = candidate_gain(
                 CandidateStatistics(
@@ -249,10 +352,10 @@ class TestLegacyPayloadMigration:
         X = rng.uniform(size=(40, 2))
         loss = rng.uniform(0.1, 1.0, size=40)
         grad = rng.normal(size=(40, 3))
-        manager.consider_new(
-            X, loss, grad,
+        observe_batch(
+            manager, X, loss, grad,
             node_loss=float(loss.sum()), node_gradient=grad.sum(axis=0),
-            node_count=40.0, learning_rate=0.05,
+            node_count=40.0,
         )
         assert len(manager) > 0
 
@@ -276,6 +379,11 @@ class TestLegacyPayloadMigration:
         X2 = rng.uniform(size=(20, 2))
         loss2 = rng.uniform(0.1, 1.0, size=20)
         grad2 = rng.normal(size=(20, 3))
-        loaded.update_stored(X2, loss2, grad2)
-        manager.update_stored(X2, loss2, grad2)
+        for store in (loaded, manager):
+            observe_batch(
+                store, X2, loss2, grad2,
+                node_loss=float(loss.sum() + loss2.sum()),
+                node_gradient=grad.sum(axis=0) + grad2.sum(axis=0),
+                node_count=60.0,
+            )
         _assert_managers_identical(loaded, manager)
